@@ -13,6 +13,7 @@ the hardware's Pattern Config block provides to the decoder (Fig. 3a).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,6 +97,12 @@ class SPMCodebook:
         return bits[0]
 
 
+# Serialises the memoized-cache builds below: several inference
+# threads may hit a layer's first forward at once, and each would
+# otherwise build (and keep referencing) its own copy.
+_memo_lock = threading.Lock()
+
+
 @dataclass
 class PatternGatherPlan:
     """Precomputed im2col gather geometry for one encoded layer.
@@ -164,7 +171,9 @@ class EncodedLayer:
         forwards; treat the returned array as read-only.
         """
         if self._decoded is None:
-            self._decoded = decode_layer(self)
+            with _memo_lock:
+                if self._decoded is None:
+                    self._decoded = decode_layer(self)
         return self._decoded
 
     def gather_plan(self) -> PatternGatherPlan:
@@ -178,23 +187,25 @@ class EncodedLayer:
         call :meth:`invalidate_caches`.
         """
         if self._gather_plan is None:
-            c_out, c_in, kh, kw = self.shape
-            k2 = kh * kw
-            n = self.codebook.n_nonzero
-            positions_by_code = np.array(
-                [
-                    pattern_positions(self.codebook.pattern(code), kh)
-                    for code in range(len(self.codebook))
-                ],
-                dtype=np.int64,
-            ).reshape(len(self.codebook), n)
-            self._gather_plan = PatternGatherPlan(
-                positions_by_code=positions_by_code,
-                codes=self.codes,
-                c_in=c_in,
-                n=n,
-                k2=k2,
-            )
+            with _memo_lock:
+                if self._gather_plan is None:
+                    c_out, c_in, kh, kw = self.shape
+                    k2 = kh * kw
+                    n = self.codebook.n_nonzero
+                    positions_by_code = np.array(
+                        [
+                            pattern_positions(self.codebook.pattern(code), kh)
+                            for code in range(len(self.codebook))
+                        ],
+                        dtype=np.int64,
+                    ).reshape(len(self.codebook), n)
+                    self._gather_plan = PatternGatherPlan(
+                        positions_by_code=positions_by_code,
+                        codes=self.codes,
+                        c_in=c_in,
+                        n=n,
+                        k2=k2,
+                    )
         return self._gather_plan
 
     def grouped_weight_matrix(self) -> np.ndarray:
@@ -210,15 +221,18 @@ class EncodedLayer:
         loops; built once per layer and memoized.
         """
         if self._grouped_weights is None:
-            c_out, c_in, kh, kw = self.shape
-            n = self.codebook.n_nonzero
-            num_patterns = len(self.codebook)
-            kernels = np.arange(self.num_kernels)
-            grouped = np.zeros(
-                (num_patterns, c_in, n, c_out), dtype=self.values.dtype
-            )
-            grouped[self.codes, kernels % c_in, :, kernels // c_in] = self.values
-            self._grouped_weights = grouped.reshape(num_patterns * c_in * n, c_out)
+            with _memo_lock:
+                if self._grouped_weights is None:
+                    c_out, c_in, kh, kw = self.shape
+                    n = self.codebook.n_nonzero
+                    num_patterns = len(self.codebook)
+                    kernels = np.arange(self.num_kernels)
+                    grouped = np.zeros(
+                        (num_patterns, c_in, n, c_out), dtype=self.values.dtype
+                    )
+                    channel, column = kernels % c_in, kernels // c_in
+                    grouped[self.codes, channel, :, column] = self.values
+                    self._grouped_weights = grouped.reshape(-1, c_out)
         return self._grouped_weights
 
     def invalidate_caches(self) -> int:

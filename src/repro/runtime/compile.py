@@ -77,6 +77,14 @@ __all__ = ["compile_model", "CompiledModel", "fold_batchnorm"]
 # budget at each call's geometry).
 SLAB_BYTES = 64 * 2**20
 
+# Serialises the lazy builds of derived GEMM operands (prepare(), the
+# decoded SPM weight, Winograd and int8 operands). Lanes of one predict
+# call run the same ops on several threads; without the lock each lane
+# would build — and its trace pin — a private copy of every operand.
+# Builders check their memo, then re-check under the lock (reentrant:
+# a Winograd build decodes the SPM weight it transforms).
+_derive_lock = threading.RLock()
+
 
 def trace_enabled() -> bool:
     """Whether steady-state calls run the recorded trace executor.
@@ -358,30 +366,33 @@ class ConvOp(_InferenceOp):
         """
         if self._prepared:
             return
-        dtype = self.dtype
-        bias = _cast(self.bias, dtype)
-        self.bias_rows = 0
-        if self.encoded is not None:
-            self.encoded = _cast_encoded(self.encoded, dtype)
-            self.weight_t = None
-            if not self.use_gather and bias is not None:
-                self.bias_rows = 1  # the lazily decoded dense weight appends it
-        else:
-            weight = _cast(self.weight, dtype)
-            weight_t = np.ascontiguousarray(
-                weight.transpose(0, 2, 3, 1).reshape(self.c_out, -1).T
-            )
-            if bias is not None:
-                # Append the bias as a GEMM row; the column buffer carries
-                # a matching all-ones column, so the bias add costs one
-                # extra GEMM row instead of a pass over the output.
+        with _derive_lock:
+            if self._prepared:
+                return
+            dtype = self.dtype
+            bias = _cast(self.bias, dtype)
+            self.bias_rows = 0
+            if self.encoded is not None:
+                self.encoded = _cast_encoded(self.encoded, dtype)
+                self.weight_t = None
+                if not self.use_gather and bias is not None:
+                    self.bias_rows = 1  # the lazily decoded dense weight appends it
+            else:
+                weight = _cast(self.weight, dtype)
                 weight_t = np.ascontiguousarray(
-                    np.vstack([weight_t, bias.astype(weight_t.dtype)[None, :]])
+                    weight.transpose(0, 2, 3, 1).reshape(self.c_out, -1).T
                 )
-                self.bias_rows = 1
-            self.weight_t = weight_t
-        self.epilogue = Epilogue(bias=bias, relu=self.relu)
-        self._prepared = True
+                if bias is not None:
+                    # Append the bias as a GEMM row; the column buffer carries
+                    # a matching all-ones column, so the bias add costs one
+                    # extra GEMM row instead of a pass over the output.
+                    weight_t = np.ascontiguousarray(
+                        np.vstack([weight_t, bias.astype(weight_t.dtype)[None, :]])
+                    )
+                    self.bias_rows = 1
+                self.weight_t = weight_t
+            self.epilogue = Epilogue(bias=bias, relu=self.relu)
+            self._prepared = True
 
     def invalidate(self) -> None:
         """Drop derived GEMM state after a pass mutated source params."""
@@ -631,14 +642,21 @@ class ConvOp(_InferenceOp):
     def _wino_operand(self, m: int, dtype) -> np.ndarray:
         """Memoized transformed weights ``U = (G(x)G) W``, ``(f, C_in, C_out)``."""
         f = (m + 2) ** 2
+
+        def stale(u):
+            return u is None or u.shape[0] != f or u.dtype != np.dtype(dtype)
+
         u = self._wino_u
-        if u is None or u.shape[0] != f or u.dtype != np.dtype(dtype):
-            k = 9 * self.c_in
-            w9 = np.ascontiguousarray(
-                self._operand_weight_t()[:k]
-            ).reshape(9, self.c_in, self.c_out)
-            self._wino_u = wino_weight_transform(w9, m, dtype)
-        return self._wino_u
+        if stale(u):
+            with _derive_lock:
+                u = self._wino_u
+                if stale(u):
+                    k = 9 * self.c_in
+                    w9 = np.ascontiguousarray(
+                        self._operand_weight_t()[:k]
+                    ).reshape(9, self.c_in, self.c_out)
+                    u = self._wino_u = wino_weight_transform(w9, m, dtype)
+        return u
 
     def _wino_tile(self, out_hw) -> int:
         """Resolve the effective tile for one geometry (and persist it).
@@ -800,30 +818,33 @@ class ConvOp(_InferenceOp):
     # -- forced-backend fallback through the engine -------------------
     def _dense_weight_nchw(self) -> Optional[np.ndarray]:
         if self._weight_nchw is None and self.weight_t is not None:
-            kh, kw = self.kernel
-            k = kh * kw * self.c_in
-            self._weight_nchw = np.ascontiguousarray(
-                self.weight_t[:k].T.reshape(self.c_out, kh, kw, self.c_in).transpose(
-                    0, 3, 1, 2
-                )
-            )
+            with _derive_lock:
+                if self._weight_nchw is None:
+                    kh, kw = self.kernel
+                    k = kh * kw * self.c_in
+                    self._weight_nchw = np.ascontiguousarray(
+                        self.weight_t[:k]
+                        .T.reshape(self.c_out, kh, kw, self.c_in)
+                        .transpose(0, 3, 1, 2)
+                    )
         return self._weight_nchw
 
     def _decoded_weight_t(self) -> np.ndarray:
         """Memoized NHWC GEMM weight decoded from an SPM encoding (bias
         row appended when the layer carries one, as for dense)."""
         if self._decoded_t is None:
-            decoded = (
-                self.encoded.decoded_weight()
-                .transpose(0, 2, 3, 1)
-                .reshape(self.c_out, -1)
-                .T
-            )
-            if self.bias_rows:
-                decoded = np.vstack(
-                    [decoded, self.epilogue.bias.astype(decoded.dtype)[None, :]]
-                )
-            self._decoded_t = np.ascontiguousarray(decoded)
+            with _derive_lock:
+                if self._decoded_t is None:
+                    decoded = (
+                        self.encoded.decoded_weight()
+                        .transpose(0, 2, 3, 1)
+                        .reshape(self.c_out, -1)
+                        .T
+                    )
+                    if self.bias_rows:
+                        bias = self.epilogue.bias.astype(decoded.dtype)
+                        decoded = np.vstack([decoded, bias[None, :]])
+                    self._decoded_t = np.ascontiguousarray(decoded)
         return self._decoded_t
 
     def _run_via_engine(self, x, state, override):
@@ -1270,6 +1291,8 @@ class CompiledModel:
         # dtype), recorded by __call__ and served by output_geometry()
         # so empty-batch calls never need a probe forward.
         self._geometry: dict = {}
+        # Input tail -> dense MACs per image (dense_macs()).
+        self._macs: dict = {}
 
     # -- resources -----------------------------------------------------
     def _state(self) -> _ExecState:
@@ -1478,9 +1501,28 @@ class CompiledModel:
         self._geometry[key] = entry
         return entry
 
+    def dense_macs(self, input_tail) -> Optional[int]:
+        """Dense conv + linear MACs per image for ``(N,) + input_tail``.
+
+        Counted from the ops' geometry as if every weight were non-zero
+        (the work a dense GEMM schedule does), memoized per input tail.
+        ``None`` when the walk cannot derive the geometry (see
+        :meth:`output_geometry`). ``predict`` sizes its batch lanes by it.
+        """
+        key = tuple(input_tail)
+        if key not in self._macs:
+            macs = [0]
+            tail = self._walk_geometry(self.ops, key, macs)
+            self._macs[key] = None if tail is None else macs[0]
+        return self._macs[key]
+
     @staticmethod
-    def _walk_geometry(ops, tail):
-        """Symbolically push a shape tail through ``ops`` (None = punt)."""
+    def _walk_geometry(ops, tail, macs=None):
+        """Symbolically push a shape tail through ``ops`` (None = punt).
+
+        With ``macs`` (a one-element list) the walk also adds each conv's
+        and linear layer's dense multiply-accumulates per image to it.
+        """
         from ..nn.functional import conv_output_size
         from .quant import DequantizeOp, QuantizeOp
 
@@ -1502,6 +1544,9 @@ class CompiledModel:
                 oh = conv_output_size(h, op.kernel[0], op.stride, op.padding)
                 ow = conv_output_size(w, op.kernel[1], op.stride, op.padding)
                 tail = (oh, ow, op.c_out)
+                if macs is not None:
+                    kh, kw = op.kernel
+                    macs[0] += oh * ow * op.c_out * kh * kw * op.c_in
             elif isinstance(op, MaxPoolOp):
                 if len(tail) != 3:
                     return None
@@ -1527,8 +1572,14 @@ class CompiledModel:
                 tail = (c * h * w,)
             elif isinstance(op, LinearOp):
                 tail = (op.weight.shape[0],)
+                if macs is not None:
+                    macs[0] += op.weight.size
             elif isinstance(op, ResidualOp):
-                tail = CompiledModel._walk_geometry(op.body, tail)
+                if macs is not None and (
+                    CompiledModel._walk_geometry(op.shortcut, tail, macs) is None
+                ):
+                    return None
+                tail = CompiledModel._walk_geometry(op.body, tail, macs)
                 if tail is None:
                     return None
             elif isinstance(op, (BatchNormOp, ReluOp, QuantizeOp, DequantizeOp)):

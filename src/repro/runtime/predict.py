@@ -14,9 +14,12 @@ Two throughput levers stack on top:
   lowered pipeline — BN folded into convs, fused bias/ReLU epilogues,
   float32 parameters, zero-allocation buffer arenas — instead of the
   float64 module graph.
-- ``workers=N`` fans micro-batches out over a thread pool. The GEMMs
-  dominating the compiled path run inside BLAS, which releases the GIL,
-  so the chunks genuinely overlap; compiled execution state is
+- Lanes. A compiled model's large batches run as one batch lane per
+  usable core, each on its own thread, with BLAS held at one thread
+  (:mod:`repro.runtime.blas`) so lanes do not oversubscribe the cores.
+  ``workers=N`` fans micro-batches out over a thread pool explicitly.
+  The GEMMs dominating the compiled path run inside BLAS, which releases
+  the GIL, so the chunks genuinely overlap; compiled execution state is
   thread-local, so one compiled model serves all workers.
 """
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple, Union
@@ -33,9 +36,17 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .. import nn
+from . import blas
 from .compile import CompiledModel, compile_model
+from .tune import effective_cpu_count
 
-__all__ = ["PredictStats", "predict", "conv_backend_override"]
+__all__ = ["PredictStats", "predict", "conv_backend_override", "LANE_MIN_MACS"]
+
+#: Dense multiply-accumulates each automatic batch lane must carry. A
+#: lane this size is ~10 ms of single-threaded float32 GEMM, against
+#: well under a millisecond of thread hand-off; VGG-16 on CIFAR carries
+#: ~313 M MACs per image, a small serving CNN under 1 M.
+LANE_MIN_MACS = 1_000_000_000
 
 # Worker threads are shared across predict() calls: compiled-model
 # execution state is keyed by thread identity (thread-local arenas), so
@@ -57,6 +68,27 @@ def _shared_pool(workers: int) -> ThreadPoolExecutor:
             )
             _pools[workers] = pool
         return pool
+
+
+def _auto_lanes(compiled: CompiledModel, x: np.ndarray) -> int:
+    """Batch lanes for an unpinned compiled call: one per usable core,
+    each carrying at least :data:`LANE_MIN_MACS` dense MACs. One lane
+    where BLAS threads cannot be pinned (lanes would oversubscribe)."""
+    cores = effective_cpu_count()
+    if cores < 2 or not blas.controllable():
+        return 1
+    macs = compiled.dense_macs(x.shape[1:])
+    if not macs:
+        return 1
+    return max(1, min(cores, x.shape[0], macs * x.shape[0] // LANE_MIN_MACS))
+
+
+# Input geometries at which each compiled model has run its lanes. The
+# first call at a geometry runs its lanes one after another on the
+# caller's thread, so lazily built operands (and their float64
+# temporaries) are created once, on that thread — not raced for, and not
+# left behind in other threads' malloc arenas.
+_laned: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -165,10 +197,23 @@ def predict(
     workers:
         Run micro-batches on a thread pool of this size. BLAS releases
         the GIL during the GEMMs that dominate inference, so chunks
-        overlap on real cores. ``None``/``1`` keeps the sequential loop.
+        overlap on real cores. ``1`` keeps the sequential loop.
         Pools are created lazily and shared across calls (one per
         distinct size), so repeated serving loops never pay pool (or
-        thread-local arena) startup per call.
+        thread-local arena) startup per call. ``None`` means automatic:
+        a compiled model splits the batch into one lane per usable core
+        (:func:`~repro.runtime.tune.effective_cpu_count`), as long as
+        each lane carries at least :data:`LANE_MIN_MACS` dense MACs
+        (:meth:`~repro.runtime.compile.CompiledModel.dense_macs`) and
+        BLAS threads can be controlled; ``micro_batch`` or ``executor``
+        also turn the automatic split off. The caller's thread runs lane
+        0 and the shared pool the rest; the first call at a new input
+        geometry runs every lane on the caller's thread, so lazily built
+        operands are created once. Small batches and models stay on the
+        sequential loop. Whenever more than one thread runs chunks —
+        automatic lanes or an explicit ``workers > 1`` — OpenBLAS is
+        held at one thread for the call (:func:`repro.runtime.blas.pinned`)
+        and restored afterwards.
     executor:
         Bring-your-own pool used instead of the shared thread pool — a
         ``ThreadPoolExecutor`` (callers that already own a pool or want
@@ -256,8 +301,6 @@ def predict(
             # worker only multiplies ring round-trips and shrinks the
             # per-chunk batch with no concurrency to gain — one full
             # chunk to one (least-loaded) worker is strictly cheaper.
-            from .tune import effective_cpu_count
-
             workers = max(1, min(executor.procs, effective_cpu_count()))
     if x.shape[0] == 0:
         # A batcher flush or a drained queue legitimately produces N=0:
@@ -298,7 +341,11 @@ def predict(
     compiled = model if isinstance(model, CompiledModel) else None
 
     batch = x.shape[0]
-    workers = workers or 1
+    lanes = 1
+    unpinned = workers is None and micro_batch is None and executor is None
+    if compiled is not None and unpinned:
+        lanes = _auto_lanes(compiled, x)
+    workers = workers or lanes
     if micro_batch is None and workers > 1:
         # One chunk per worker keeps every thread busy exactly once.
         micro_batch = -(-batch // workers)
@@ -341,10 +388,29 @@ def predict(
             # records (a closure cannot); chunk timings come back from
             # the workers' own enqueue->response stamps.
             return executor.run_chunks(chunks, chunk_seconds)
-        if workers > 1:
+        if lanes > 1:
+            laned = _laned.setdefault(compiled, set())
+            geometry = (x.shape[1:], np.dtype(x.dtype))
+            if geometry not in laned:
+                # First call at this geometry: every lane in turn on the
+                # caller's thread, BLAS threads left as they are.
+                outputs = [run_chunk(i) for i in range(len(chunks))]
+                laned.add(geometry)
+                return outputs
+            with blas.pinned():
+                # Lane 0 on the caller's thread, the rest on the pool.
+                pool = _shared_pool(lanes - 1)
+                futures = [pool.submit(run_chunk, i) for i in range(1, len(chunks))]
+                try:
+                    head = run_chunk(0)
+                finally:
+                    wait(futures)  # no lane may outlive the BLAS pin
+            return [head] + [future.result() for future in futures]
+        if workers == 1:
+            return [run_chunk(i) for i in range(len(chunks))]
+        with blas.pinned():
             pool = executor if executor is not None else _shared_pool(workers)
             return list(pool.map(run_chunk, range(len(chunks))))
-        return [run_chunk(i) for i in range(len(chunks))]
 
     start = time.perf_counter()
     if compiled is not None:

@@ -65,7 +65,15 @@ import numpy as np
 
 from .arena import Arena
 from .backends import Epilogue
-from .compile import ConvOp, MaxPoolOp, ReluOp, _ExecState, _InferenceOp, _arr_nbytes
+from .compile import (
+    ConvOp,
+    MaxPoolOp,
+    ReluOp,
+    _arr_nbytes,
+    _derive_lock,
+    _ExecState,
+    _InferenceOp,
+)
 from .plan import ExecutionPlan, PlanCache
 
 __all__ = [
@@ -762,52 +770,56 @@ class QuantConvOp(ConvOp):
         against the column buffer's ones column, so bias costs no
         separate pass over the accumulator.
         """
-        if self._w_q8 is None:
-            k = self.kernel[0] * self.kernel[1] * self.c_in
-            if self.weight_t is not None:
-                w = self.weight_t[: self.weight_t.shape[0] - self.bias_rows]
-            else:  # decoded SPM codes never materialised a float operand
-                w = self._decoded_weight_t()[:k]
-            self._w_q8 = np.ascontiguousarray(np.rint(w), dtype=np.int8)
-        if self._w_blocks is None:
-            w = self._w_q8
-            k = w.shape[0]
-            limit = float(2**24 - 1)
-            qmax = float(self.qmax)
-            head = 0.0
-            folding = self.int8_kernel == "blocked" and self.bias_q is not None
-            if folding:
-                head = float(np.max(np.abs(self.bias_q)))
-                if qmax * 127.0 + head > limit:  # bias codes too large to
-                    folding = False  # join the exact accumulation
-                    head = 0.0
-            # cum[i] = per-channel L1 of the first i weight rows.
-            cum = np.zeros((k + 1, w.shape[1]), dtype=np.int64)
-            np.cumsum(np.abs(w.astype(np.int64)), axis=0, out=cum[1:])
-            spans: List[Tuple[int, int]] = []
-            start = 0
-            while start < k:
-                lo, hi, best = start + 1, k, start + 1
-                while lo <= hi:
-                    mid = (lo + hi) // 2
-                    bound = qmax * float((cum[mid] - cum[start]).max()) + head
-                    if bound <= limit:
-                        best, lo = mid, mid + 1
-                    else:
-                        hi = mid - 1
-                spans.append((start, best))
-                start = best
-            blocks = []
-            for i, (k0, k1) in enumerate(spans):
-                blk = np.ascontiguousarray(w[k0:k1], dtype=np.float32)
-                if folding and i == len(spans) - 1:
-                    blk = np.ascontiguousarray(
-                        np.vstack([blk, self.bias_q.astype(np.float32)])
-                    )
-                blocks.append(blk)
-            self._w_blocks = blocks
-            self._w_spans = spans
-            self._bias_folded = folding
+        if self._w_q8 is not None and self._w_blocks is not None:
+            return self._w_q8, self._w_blocks
+        with _derive_lock:
+            if self._w_q8 is None:
+                k = self.kernel[0] * self.kernel[1] * self.c_in
+                if self.weight_t is not None:
+                    w = self.weight_t[: self.weight_t.shape[0] - self.bias_rows]
+                else:  # decoded SPM codes never materialised a float operand
+                    w = self._decoded_weight_t()[:k]
+                self._w_q8 = np.ascontiguousarray(np.rint(w), dtype=np.int8)
+            if self._w_blocks is None:
+                w = self._w_q8
+                k = w.shape[0]
+                limit = float(2**24 - 1)
+                qmax = float(self.qmax)
+                head = 0.0
+                folding = self.int8_kernel == "blocked" and self.bias_q is not None
+                if folding:
+                    head = float(np.max(np.abs(self.bias_q)))
+                    if qmax * 127.0 + head > limit:  # bias codes too large to
+                        folding = False  # join the exact accumulation
+                        head = 0.0
+                # cum[i] = per-channel L1 of the first i weight rows.
+                cum = np.zeros((k + 1, w.shape[1]), dtype=np.int64)
+                np.cumsum(np.abs(w.astype(np.int64)), axis=0, out=cum[1:])
+                spans: List[Tuple[int, int]] = []
+                start = 0
+                while start < k:
+                    lo, hi, best = start + 1, k, start + 1
+                    while lo <= hi:
+                        mid = (lo + hi) // 2
+                        bound = qmax * float((cum[mid] - cum[start]).max()) + head
+                        if bound <= limit:
+                            best, lo = mid, mid + 1
+                        else:
+                            hi = mid - 1
+                    spans.append((start, best))
+                    start = best
+                blocks = []
+                for i, (k0, k1) in enumerate(spans):
+                    blk = np.ascontiguousarray(w[k0:k1], dtype=np.float32)
+                    if folding and i == len(spans) - 1:
+                        blk = np.ascontiguousarray(
+                            np.vstack([blk, self.bias_q.astype(np.float32)])
+                        )
+                    blocks.append(blk)
+                # Blocks last: the unlocked fast path keys on them.
+                self._w_spans = spans
+                self._bias_folded = folding
+                self._w_blocks = blocks
         return self._w_q8, self._w_blocks
 
     def _int8_thunk(self, x, state):

@@ -20,12 +20,13 @@ Numerics
 F(2x2,3x3) transforms only add/subtract (``B``/``A`` entries in
 {0, +-1}) and halve (``G`` entries in {0, 1/2, 1}); on integer-valued
 inputs (int8 activation codes) the forward transforms are *exact* in
-float32.  F(4x4,3x3) uses the Cook-Toom points {0, +-1, +-2} whose
-transform entries reach 8 and 1/24, amplifying rounding error by roughly
-one decimal digit — observed max-abs error vs im2col stays ~1e-5 on
-unit-scale activations, comfortably inside the repo-wide 1e-4 equivalence
-budget, but F(4x4) is only auto-selected for float32/float64 compute,
-never for larger tiles than the output needs.
+float32.  F(4x4,3x3) uses the Cook-Toom points {0, +-1, 2, -1/2}, whose
+transform entries reach 8 and 16/15; it still amplifies float32
+rounding several-fold over im2col (the Winograd-domain GEMM dominates),
+so its max-abs error vs im2col stays ~1e-5 on unit-scale activations,
+inside the repo-wide 1e-4 equivalence budget. F(4x4) is only
+auto-selected for float32/float64 compute, never for larger tiles than
+the output needs.
 """
 from __future__ import annotations
 
@@ -54,28 +55,35 @@ _BT2 = np.array(
 )
 _AT2 = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, -1.0]])
 
-# F(4x4,3x3) over interpolation points {0, +-1, +-2} (Lavin & Gray).
+# F(4x4,3x3) over interpolation points {0, +-1, 2, -1/2} (plus the point
+# at infinity). Against Lavin & Gray's {0, +-1, +-2}, swapping -2 for its
+# reciprocal shrinks that point's output-transform column from up to -8
+# to at most 1/2, and lowers the float32 RMS error of a transformed tile
+# about 1.5x (Barabasz et al., "Error analysis and improving the
+# accuracy of Winograd convolution", 2020). Rows of BT are
+# scaled by powers of two (exact) so its entries stay integers; the
+# inverse scale sits in G, which is applied once in float64.
 _BT4 = np.array(
-    [[4.0, 0.0, -5.0, 0.0, 1.0, 0.0],
-     [0.0, -4.0, -4.0, 1.0, 1.0, 0.0],
-     [0.0, 4.0, -4.0, -1.0, 1.0, 0.0],
-     [0.0, -2.0, -1.0, 2.0, 1.0, 0.0],
+    [[2.0, 3.0, -4.0, -3.0, 2.0, 0.0],
+     [0.0, -2.0, -5.0, -1.0, 2.0, 0.0],
+     [0.0, 2.0, 1.0, -5.0, 2.0, 0.0],
+     [0.0, -1.0, -2.0, 1.0, 2.0, 0.0],
      [0.0, 2.0, -1.0, -2.0, 1.0, 0.0],
-     [0.0, 4.0, 0.0, -5.0, 0.0, 1.0]]
+     [0.0, 2.0, 3.0, -4.0, -3.0, 2.0]]
 )
 _G4 = np.array(
-    [[1.0 / 4.0, 0.0, 0.0],
+    [[1.0 / 2.0, 0.0, 0.0],
      [-1.0 / 6.0, -1.0 / 6.0, -1.0 / 6.0],
-     [-1.0 / 6.0, 1.0 / 6.0, -1.0 / 6.0],
-     [1.0 / 24.0, 1.0 / 12.0, 1.0 / 6.0],
-     [1.0 / 24.0, -1.0 / 12.0, 1.0 / 6.0],
-     [0.0, 0.0, 1.0]]
+     [1.0 / 6.0, -1.0 / 6.0, 1.0 / 6.0],
+     [1.0 / 30.0, 1.0 / 15.0, 2.0 / 15.0],
+     [-16.0 / 15.0, 8.0 / 15.0, -4.0 / 15.0],
+     [0.0, 0.0, 1.0 / 2.0]]
 )
 _AT4 = np.array(
     [[1.0, 1.0, 1.0, 1.0, 1.0, 0.0],
-     [0.0, 1.0, -1.0, 2.0, -2.0, 0.0],
-     [0.0, 1.0, 1.0, 4.0, 4.0, 0.0],
-     [0.0, 1.0, -1.0, 8.0, -8.0, 1.0]]
+     [0.0, 1.0, -1.0, 2.0, -1.0 / 2.0, 0.0],
+     [0.0, 1.0, 1.0, 4.0, 1.0 / 4.0, 0.0],
+     [0.0, 1.0, -1.0, 8.0, -1.0 / 8.0, 1.0]]
 )
 
 #: Supported output-tile sizes, largest (fastest on big maps) first.

@@ -2,6 +2,7 @@
 epilogues, buffer arenas, parallel micro-batch serving)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -280,6 +281,52 @@ class TestParallelServing:
         assert stats.workers == 2
         assert stats.chunks == 2  # ceil(5/2)=3 -> chunks of 3+2
         assert stats.micro_batch == 3
+
+    def test_parallel_first_call_transforms_each_winograd_layer_once(
+        self, monkeypatch
+    ):
+        from repro.runtime import compile as compile_mod
+
+        compiled = runtime.compile_model(patternnet(rng=np.random.default_rng(0)))
+        calls = []
+        transform = compile_mod.wino_weight_transform
+
+        def counting(w9, m, dtype):
+            calls.append(w9.shape)
+            time.sleep(0.05)  # widen the window a racing lane would hit
+            return transform(w9, m, dtype)
+
+        monkeypatch.setattr(compile_mod, "wino_weight_transform", counting)
+        x = np.random.default_rng(20).normal(size=(4, 3, 16, 16))
+        reference = runtime.predict(compiled, x, workers=1)
+        layers = [r for r in compiled.schedule_summary() if r["kind"] == "winograd4"]
+        assert len(layers) >= 2
+        assert len(calls) == len(layers)
+
+        fresh = runtime.compile_model(patternnet(rng=np.random.default_rng(0)))
+        calls.clear()
+        out = runtime.predict(fresh, x, workers=2)
+        assert len(calls) == len(layers)
+        np.testing.assert_allclose(out, reference, rtol=1e-5, atol=1e-5)
+
+    def test_parallel_first_call_decodes_each_spm_layer_once(self, monkeypatch):
+        from repro.core import spm
+
+        model = _pruned(patternnet(rng=np.random.default_rng(0)), 3)
+        compiled = runtime.compile_model(model)
+        decoded = []
+        decode = spm.decode_layer
+
+        def counting(encoded):
+            decoded.append(id(encoded))
+            time.sleep(0.05)
+            return decode(encoded)
+
+        monkeypatch.setattr(spm, "decode_layer", counting)
+        x = np.random.default_rng(21).normal(size=(4, 3, 16, 16))
+        runtime.predict(compiled, x, workers=2)
+        assert decoded
+        assert len(decoded) == len(set(decoded))
 
     def test_thread_local_arenas(self):
         compiled = runtime.compile_model(MODELS["simplecnn"]())

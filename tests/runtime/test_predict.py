@@ -1,5 +1,8 @@
 """Tests for the batched runtime.predict() inference API."""
 
+import importlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -271,3 +274,223 @@ class TestExecutorSeam:
         np.testing.assert_allclose(
             out, runtime.predict(model, batch), rtol=1e-12, atol=1e-12
         )
+
+
+# The module, not the function runtime.predict re-exports.
+predict_mod = importlib.import_module("repro.runtime.predict")
+
+needs_blas = pytest.mark.skipif(
+    not runtime.blas.controllable(), reason="OpenBLAS thread count not controllable"
+)
+
+
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """Make every compiled batch qualify for two automatic lanes."""
+    monkeypatch.setattr(predict_mod, "LANE_MIN_MACS", 1)
+    monkeypatch.setattr(predict_mod, "effective_cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def blas_at_two():
+    """BLAS at two threads for the test (so a pin to one is visible)."""
+    before = runtime.blas.get_threads()
+    runtime.blas.set_threads(2)
+    yield
+    runtime.blas.set_threads(before)
+
+
+class TestLanes:
+    """Automatic batch lanes on compiled models (workers=None)."""
+
+    def test_dense_macs_counts_conv_and_linear(self):
+        model = nn.Sequential(
+            nn.Conv2d(3, 4, kernel_size=3, padding=1, rng=np.random.default_rng(0)),
+            nn.ReLU(),
+            nn.Flatten(),
+            nn.Linear(4 * 8 * 8, 5, rng=np.random.default_rng(1)),
+        )
+        compiled = runtime.compile_model(model)
+        assert compiled.dense_macs((3, 8, 8)) == 8 * 8 * 4 * 9 * 3 + 4 * 8 * 8 * 5
+
+    def test_small_batches_stay_one_lane(self, model, batch, monkeypatch):
+        monkeypatch.setattr(predict_mod, "effective_cpu_count", lambda: 2)
+        stats = runtime.PredictStats()
+        runtime.predict(runtime.compile_model(model), batch, stats=stats)
+        assert (stats.chunks, stats.workers) == (1, 1)
+
+    @needs_blas
+    def test_lane_count_follows_cores_and_macs(self, model, monkeypatch):
+        compiled = runtime.compile_model(model)
+        per_image = compiled.dense_macs((3, 12, 12))
+        monkeypatch.setattr(predict_mod, "LANE_MIN_MACS", 2 * per_image)
+        monkeypatch.setattr(predict_mod, "effective_cpu_count", lambda: 3)
+        x = np.random.default_rng(2).normal(size=(8, 3, 12, 12))
+        for rows, lanes in ((1, 1), (3, 1), (4, 2), (8, 3)):
+            stats = runtime.PredictStats()
+            runtime.predict(compiled, x[:rows], stats=stats)
+            assert (stats.chunks, stats.workers) == (lanes, lanes), rows
+        # Pinning the chunking (or the pool) turns the automatic split off.
+        stats = runtime.PredictStats()
+        runtime.predict(compiled, x, micro_batch=8, stats=stats)
+        assert stats.chunks == 1
+
+    @needs_blas
+    def test_f32_lanes_match_one_lane(self, two_lanes):
+        model = patternnet(rng=np.random.default_rng(3))
+        compiled = runtime.compile_model(model)
+        x = np.random.default_rng(4).normal(size=(7, 3, 16, 16))
+        single = runtime.predict(compiled, x, workers=1)
+        for _ in range(2):  # the first call runs lane 0 alone first
+            stats = runtime.PredictStats()
+            out = runtime.predict(compiled, x, stats=stats)
+            assert stats.chunks == 2
+            np.testing.assert_allclose(out, single, rtol=0, atol=1e-5)
+
+    @needs_blas
+    def test_int8_lanes_are_bit_identical(self, two_lanes):
+        model = patternnet(rng=np.random.default_rng(5))
+        x = np.random.default_rng(6).normal(size=(8, 3, 16, 16))
+        compiled = runtime.compile_model(model, quantize="int8", calibration=x)
+        single = runtime.predict(compiled, x, workers=1)
+        stats = runtime.PredictStats()
+        out = runtime.predict(compiled, x, stats=stats)
+        assert stats.chunks == 2
+        np.testing.assert_array_equal(out, single)
+
+    def test_one_core_runs_one_lane_and_never_sets_blas(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        from repro.runtime.tune import TUNE_CPUS_ENV
+
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity control on this platform")
+        script = tmp_path / "one_core.py"
+        script.write_text(
+            "import os\n"
+            "import numpy as np\n"
+            "from repro import runtime\n"
+            "from repro.models import patternnet\n"
+            "from repro.runtime import blas\n"
+            "predict_mod = __import__('repro.runtime.predict').runtime.predict\n"
+            "os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[0]})\n"
+            "calls = []\n"
+            "blas.set_threads = lambda n: calls.append(n)\n"
+            "predict_mod.LANE_MIN_MACS = 1\n"
+            "compiled = runtime.compile_model(patternnet())\n"
+            "stats = runtime.PredictStats()\n"
+            "x = np.zeros((8, 3, 16, 16))\n"
+            "runtime.predict(compiled, x, stats=stats)\n"
+            "print(stats.chunks, len(calls))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        env.pop(TUNE_CPUS_ENV, None)  # count the affinity mask
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "0"]
+
+
+@needs_blas
+class TestBlasPin:
+    """Multi-thread predict sections hold OpenBLAS at one thread."""
+
+    def test_pinned_during_call_and_restored_after(
+        self, two_lanes, blas_at_two, monkeypatch
+    ):
+        compiled = runtime.compile_model(patternnet(rng=np.random.default_rng(7)))
+        x = np.random.default_rng(8).normal(size=(4, 3, 16, 16))
+        seen = []
+        call = type(compiled).__call__
+        caller = threading.get_ident()
+
+        def observing(self, chunk, **kwargs):
+            on_caller = threading.get_ident() == caller
+            seen.append((runtime.blas.get_threads(), on_caller))
+            return call(self, chunk, **kwargs)
+
+        monkeypatch.setattr(type(compiled), "__call__", observing)
+        runtime.predict(compiled, x)  # first call: lanes in turn, unpinned
+        assert seen == [(2, True), (2, True)]
+        runtime.predict(compiled, x)  # automatic lanes
+        runtime.predict(compiled, x, workers=2)  # explicit workers
+        assert sorted(seen[2:]) == [(1, False)] * 3 + [(1, True)]
+        assert runtime.blas.get_threads() == 2
+
+    def test_restored_after_a_lane_raises(self, two_lanes, blas_at_two, monkeypatch):
+        compiled = runtime.compile_model(patternnet(rng=np.random.default_rng(9)))
+        x = np.random.default_rng(10).normal(size=(4, 3, 16, 16))
+        runtime.predict(compiled, x)  # warm: both lanes fan out below
+        caller = threading.get_ident()
+        call = type(compiled).__call__
+
+        def failing(self, chunk, **kwargs):
+            if threading.get_ident() != caller:
+                raise RuntimeError("lane failed")
+            return call(self, chunk, **kwargs)
+
+        monkeypatch.setattr(type(compiled), "__call__", failing)
+        with pytest.raises(RuntimeError, match="lane failed"):
+            runtime.predict(compiled, x)
+        assert runtime.blas.get_threads() == 2
+
+    def test_concurrent_calls_stay_pinned_until_the_last_ends(
+        self, blas_at_two, monkeypatch
+    ):
+        from concurrent.futures import ThreadPoolExecutor
+
+        compiled = runtime.compile_model(patternnet(rng=np.random.default_rng(11)))
+        first = np.ones((4, 3, 16, 16))
+        second = np.zeros((4, 3, 16, 16))
+        second_done = threading.Event()
+        seen = []
+        call = type(compiled).__call__
+
+        def gated(self, chunk, **kwargs):
+            if chunk[0, 0, 0, 0] == 1.0:  # the first call's lanes
+                assert second_done.wait(timeout=60)
+                seen.append(runtime.blas.get_threads())
+            return call(self, chunk, **kwargs)
+
+        monkeypatch.setattr(type(compiled), "__call__", gated)
+        with ThreadPoolExecutor(2) as pool_a, ThreadPoolExecutor(2) as pool_b:
+            slow = threading.Thread(
+                target=runtime.predict, args=(compiled, first),
+                kwargs={"workers": 2, "executor": pool_a},
+            )
+            slow.start()
+            runtime.predict(compiled, second, workers=2, executor=pool_b)
+            second_done.set()
+            slow.join(timeout=60)
+        assert not slow.is_alive()
+        assert seen == [1, 1]
+        assert runtime.blas.get_threads() == 2
+
+    def test_refcount_survives_thread_churn(self, blas_at_two):
+        import sys
+
+        inside = []
+
+        def churn():
+            for _ in range(50):
+                with runtime.blas.pinned():
+                    inside.append(runtime.blas.get_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside == [1] * 400
+        assert runtime.blas.get_threads() == 2

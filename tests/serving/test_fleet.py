@@ -102,6 +102,10 @@ class TestFlushScheduler:
         not, and a no-SLO tenant never does."""
         tight = Batcher(lambda x: x, max_batch=8, max_latency_ms=50.0, slo_ms=100.0)
         tight._flush_cost = 0.02  # recent flushes cost ~20 ms
+        # Owned by a scheduler that never dispatches, so the request
+        # stays queued while its urgency is read (a standalone worker
+        # thread may dequeue it before the asserts run).
+        FlushScheduler().register("tight", tight)
         tight.start()
         tight.submit(np.zeros((2,)))
         deadline = tight.oldest_deadline()
