@@ -259,10 +259,9 @@ def _bench_int8_kernel(model, x, batch: int) -> dict:
     """True-integer int8 GEMM datapath vs the float-carried code GEMM.
 
     Both pipelines quantize identically (same scales, same codes); the
-    only axis is the GEMM kernel: ``kernel="auto"`` resolves to the
-    integer path (numba when importable, else the blocked exact-
-    accumulate kernel), ``kernel="float"`` carries the codes in the
-    float dtype. ``kernel_bit_exact_vs_reference`` additionally probes
+    only axis is the GEMM kernel: ``kernel="blocked"`` runs the exact
+    integer kernel, ``kernel="float"`` carries the codes in the float
+    dtype. ``kernel_bit_exact_vs_reference`` additionally probes
     the blocked kernel against the reference integer GEMM on random
     codes with a ragged K tail — bit-identity here is the exactness
     certificate the guard hard-gates.
@@ -276,7 +275,7 @@ def _bench_int8_kernel(model, x, batch: int) -> dict:
 
     calib = x[:8]
     integer = runtime.compile_model(
-        model, quantize=QuantizationConfig(kernel="auto"), calibration=calib
+        model, quantize=QuantizationConfig(kernel="blocked"), calibration=calib
     )
     floatk = runtime.compile_model(
         model, quantize=QuantizationConfig(kernel="float"), calibration=calib
@@ -313,53 +312,38 @@ def _bench_int8_kernel(model, x, batch: int) -> dict:
     }
 
 
-def _bench_trace_executor(reps: int = 50) -> dict:
-    """Trace-replay executor vs per-op dispatch on a batch-1 small model.
+def _bench_batch1(reps: int = 50) -> dict:
+    """Batch-1 compiled forwards of the served PatternNet (n=2, |P|=4).
 
-    Batch 1 on a small network is where per-op overhead (plan-cache
-    lookups, arena dict hits, thunk rebuilding) is the largest fraction
-    of a forward, so it is the honest stage for the dispatch-free
-    executor. Each trial runs ``reps`` forwards so a single forward's
-    microsecond-scale jitter cannot decide the row.
+    Batch 1 on a small network is where the executor's fixed per-op cost
+    is the largest fraction of a forward, and every conv of this model
+    runs the gather schedule. Each trial runs ``reps`` forwards so a
+    single forward's microsecond-scale jitter cannot decide the row.
+    ``max_abs_diff_vs_eager`` is the within-run correctness gate.
     """
     from repro import runtime
+    from repro.core import PCNNConfig, PCNNPruner
     from repro.models import patternnet
 
     model = patternnet(rng=np.random.default_rng(SEED))
+    pruner = PCNNPruner(model, PCNNConfig.uniform(2, 3, num_patterns=4))
+    pruner.apply()
+    pruner.attach_encodings()
     x = np.random.default_rng(SEED + 5).normal(size=(1, 3, 16, 16))
     compiled = runtime.compile_model(model)
-    prior = os.environ.get("REPRO_TRACE")
+    max_abs_diff = float(np.abs(compiled(x) - runtime.predict(model, x)).max())
 
-    def run_mode(flag: str):
-        os.environ["REPRO_TRACE"] = flag
-        out = None
+    def forwards() -> None:
         for _ in range(reps):
-            out = compiled(x)
-        return out
+            compiled(x)
 
-    try:
-        max_abs_diff = float(np.abs(run_mode("1") - run_mode("0")).max())
-        samples = _interleaved_ips(
-            {"trace": lambda: run_mode("1"), "dispatch": lambda: run_mode("0")},
-            reps,
-        )
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_TRACE", None)
-        else:
-            os.environ["REPRO_TRACE"] = prior
-    trace_s = np.array(samples["trace"])
-    dispatch_s = np.array(samples["dispatch"])
+    samples = np.array(_interleaved_ips({"compiled": forwards}, reps)["compiled"])
     return {
-        "model": "patternnet",
+        "model": "patternnet_n2_p4",
         "batch": 1,
         "forwards_per_trial": reps,
-        "dispatch_images_per_sec": round(float(np.median(dispatch_s)), 2),
-        "trace_images_per_sec": round(float(np.median(trace_s)), 2),
-        "speedup_trace_vs_dispatch": round(
-            float(np.median(trace_s / dispatch_s)), 3
-        ),
-        "max_abs_diff_trace_vs_dispatch": max_abs_diff,
+        "images_per_sec": round(float(np.median(samples)), 2),
+        "max_abs_diff_vs_eager": max_abs_diff,
     }
 
 
@@ -382,9 +366,9 @@ def bench_runtime(path: str = "BENCH_runtime.json", batch: int = 32) -> dict:
     schedules vs the im2col reference, with the max-abs divergence the
     guard gates at 1e-4), ``int8_int32`` (the true-integer int8 GEMM vs
     the float-carried code GEMM, with a bit-exactness probe of the
-    blocked kernel), and ``trace_executor`` (thunk replay vs per-op
-    dispatch at batch 1, where dispatch overhead is the largest
-    fraction of a forward).
+    blocked kernel), and ``batch1`` (batch-1 compiled forwards of the
+    served PatternNet, where the executor's fixed cost is the largest
+    fraction of a forward, checked against eager).
 
     Medians over interleaved trials keep one noisy scheduler tick from
     deciding the outcome.
@@ -416,12 +400,12 @@ def bench_runtime(path: str = "BENCH_runtime.json", batch: int = 32) -> dict:
     pruner.attach_encodings()
     n2p4 = _bench_tuned_vs_static(n2p4_model, x, batch)
 
-    # Kernel-level rows: Winograd vs im2col on the flagship model, the
-    # integer int8 GEMM vs the float-carried one, and the trace executor
-    # vs per-op dispatch — each isolating exactly one schedule axis.
+    # Kernel-level rows: Winograd vs im2col on the flagship model and the
+    # integer int8 GEMM vs the float-carried one — each isolating exactly
+    # one schedule axis — plus batch-1 forwards of the serving model.
     winograd = _bench_winograd(pruned_model, x, batch)
     int8_int32 = _bench_int8_kernel(pruned_model, x, batch)
-    trace = _bench_trace_executor()
+    batch1 = _bench_batch1()
 
     record = {
         "benchmark": "runtime_serving",
@@ -445,7 +429,7 @@ def bench_runtime(path: str = "BENCH_runtime.json", batch: int = 32) -> dict:
             "pcnn_n2_p4": n2p4,
             "winograd": winograd,
             "int8_int32": int8_int32,
-            "trace_executor": trace,
+            "batch1": batch1,
         },
         "cpu_count": os.cpu_count(),
     }
@@ -1061,16 +1045,13 @@ def smoke() -> int:
     # requantize epilogue's rounding precision, so the outputs stay
     # within a sliver of the quantization error itself.
     assert int8_row["rel_diff_int_vs_float_gemm"] < 0.02, int8_row
-    trace_row = record["configs"]["trace_executor"]
+    batch1_row = record["configs"]["batch1"]
     print(
-        f"smoke: BENCH_runtime.json [trace_executor] -> dispatch "
-        f"{trace_row['dispatch_images_per_sec']} ips vs trace "
-        f"{trace_row['trace_images_per_sec']} ips "
-        f"({trace_row['speedup_trace_vs_dispatch']}x at batch 1, "
-        f"diff {trace_row['max_abs_diff_trace_vs_dispatch']:.1e})"
+        f"smoke: BENCH_runtime.json [batch1] -> "
+        f"{batch1_row['images_per_sec']} ips at batch 1 "
+        f"(diff vs eager {batch1_row['max_abs_diff_vs_eager']:.1e})"
     )
-    assert trace_row["max_abs_diff_trace_vs_dispatch"] < 1e-4, trace_row
-    assert trace_row["speedup_trace_vs_dispatch"] >= 1.0, trace_row
+    assert batch1_row["max_abs_diff_vs_eager"] <= 1e-4, batch1_row
 
     # 7. Dynamic-batching serving record: in-process Batcher under
     #    concurrent clients, dense + PCNN flagship density.

@@ -46,8 +46,8 @@ Policy:
   must agree with the im2col reference within 1e-4 and cover at least
   8 flagship layers; the ``int8_int32`` row's blocked integer kernel
   must be bit-identical to the reference integer GEMM and its pipeline
-  within 2% of the float-carried one; the ``trace_executor`` row must
-  beat per-op dispatch by 1.1x at batch 1. A flagship
+  within 2% of the float-carried one; the ``batch1`` row's batch-1
+  compiled PatternNet must match eager within 1e-4. A flagship
   ``speedup_tuned_vs_compiled`` below 0.95 additionally **warns** that
   measured tuning went slower than the static default beyond probe
   noise.
@@ -91,7 +91,6 @@ TRACKED = {
             "configs.*.speedup_tuned_vs_static",
             "configs.*.speedup_winograd_vs_im2col",
             "configs.*.speedup_int_vs_float_gemm",
-            "configs.*.speedup_trace_vs_dispatch",
         ],
         "same_machine_only": [
             "configs.*.compiled_images_per_sec",
@@ -99,7 +98,7 @@ TRACKED = {
             "configs.*.static_images_per_sec",
             "configs.*.winograd_images_per_sec",
             "configs.*.int_gemm_images_per_sec",
-            "configs.*.trace_images_per_sec",
+            "configs.batch1.images_per_sec",
         ],
     },
     "BENCH_serving.json": {
@@ -423,11 +422,6 @@ def check_load_scenarios(fresh: dict) -> Tuple[List[str], List[str]]:
     return failures, notes
 
 
-#: Floor for the within-run trace-executor paired ratio: thunk replay
-#: must beat per-op dispatch by at least this much at batch 1, where
-#: dispatch overhead is the largest fraction of a forward.
-TRACE_SPEEDUP_FLOOR = 1.1
-
 #: Ceiling on the relative output difference between the integer int8
 #: GEMM pipeline and the float-carried one. The GEMM accumulations are
 #: both exact; only the requantize epilogue's rounding precision
@@ -458,8 +452,8 @@ def check_runtime_kernels(fresh: dict) -> Tuple[List[str], List[str]]:
       outputs must stay within ``INT8_KERNEL_REL_DIFF_CEILING`` of the
       float-carried pipeline (same scales, same codes — only the
       epilogue's rounding precision differs);
-    - ``trace_executor`` row: thunk replay must beat per-op dispatch by
-      ``TRACE_SPEEDUP_FLOOR`` at batch 1 and match it numerically.
+    - ``batch1`` row: the batch-1 compiled PatternNet must match eager
+      within the same 1e-4 budget.
 
     Plus one warning: flagship ``speedup_tuned_vs_compiled`` below
     ``TUNED_VS_COMPILED_NOISE_FLOOR`` means measured tuning picked
@@ -517,25 +511,21 @@ def check_runtime_kernels(fresh: dict) -> Tuple[List[str], List[str]]:
                 f"float-carried GEMM"
             )
 
-    trace = configs.get("trace_executor")
-    if trace is None:
-        failures.append("trace_executor: row missing from fresh record")
+    batch1 = configs.get("batch1")
+    if batch1 is None:
+        failures.append("batch1: row missing from fresh record")
     else:
-        diff = trace.get("max_abs_diff_trace_vs_dispatch")
+        diff = batch1.get("max_abs_diff_vs_eager")
         if diff is None or diff > 1e-4:
             failures.append(
-                f"trace_executor: trace replay diverged from per-op "
-                f"dispatch (max_abs_diff={diff})"
+                f"batch1: compiled forward diverged from eager "
+                f"(max_abs_diff={diff}, ceiling 1e-4)"
             )
-        speedup = trace.get("speedup_trace_vs_dispatch")
-        line = (
-            f"trace_executor: {speedup}x vs dispatch at batch 1 "
-            f"(floor {TRACE_SPEEDUP_FLOOR}x)"
-        )
-        if speedup is None or speedup < TRACE_SPEEDUP_FLOOR:
-            failures.append(line)
         else:
-            notes.append(line)
+            notes.append(
+                f"batch1: {batch1.get('images_per_sec')} images/s, "
+                f"diff vs eager {diff:.1e}"
+            )
 
     flagship = configs.get("pcnn_n2_p8", {})
     tuned_ratio = flagship.get("speedup_tuned_vs_compiled")
@@ -570,7 +560,7 @@ def main(argv=None) -> int:
         "--runtime-only", action="store_true",
         help="skip baseline comparisons; run only the within-run "
         "BENCH_runtime.json kernel invariant checks — winograd-vs-im2col "
-        "divergence, int8 kernel exactness, trace-executor floor "
+        "divergence, int8 kernel exactness, batch-1 equivalence "
         "(machine-independent)",
     )
     args = parser.parse_args(argv)
@@ -661,8 +651,8 @@ def main(argv=None) -> int:
         print(
             f"[bench-guard] hard-fail: compiled throughput dropped more "
             f"than {args.tolerance:.0%} below the committed baseline, or "
-            f"a within-run invariant (worker pool, kernel equivalence, "
-            f"trace-executor floor) broke"
+            f"a within-run invariant (worker pool, kernel equivalence) "
+            f"broke"
         )
         return 1
     print("[bench-guard] OK")

@@ -24,7 +24,6 @@ Gives downstream users the paper's numbers without writing code:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -110,8 +109,6 @@ def cmd_prune(args) -> int:
 def cmd_predict(args) -> int:
     from . import runtime
 
-    if args.no_trace:
-        os.environ["REPRO_TRACE"] = "0"
     if args.repeat < 1 or args.batch < 1:
         print("error: --repeat and --batch must be >= 1", file=sys.stderr)
         return 2
@@ -502,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pred.add_argument(
         "--backend", default=None,
-        help="force a conv backend (default: auto-select per layer)",
+        help="force a conv backend on the eager model (default: "
+        "auto-select per layer; rejected with --compile/--quantize/--tune)",
     )
     p_pred.add_argument(
         "--compile", action="store_true",
@@ -528,12 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-winograd", action="store_true",
         help="disable the Winograd F(m,3) schedules on the compiled "
         "pipeline (keep every 3x3 conv on im2col)",
-    )
-    p_pred.add_argument(
-        "--no-trace", action="store_true",
-        help="disable the trace executor (sets REPRO_TRACE=0: every "
-        "call walks per-op dispatch instead of replaying the recorded "
-        "thunk list)",
     )
     p_pred.add_argument("--repeat", type=int, default=3, help="timed repetitions")
     p_pred.add_argument("--seed", type=int, default=0, help="input RNG seed")

@@ -355,7 +355,7 @@ class WinogradBackend:
     """F(m x m, 3x3) fast convolution for 3x3/stride-1 requests.
 
     The engine-dispatch twin of the compiled pipeline's Winograd
-    schedule (:meth:`repro.runtime.compile.ConvOp._wino_closure`): input
+    schedule (:meth:`repro.runtime.compile.ConvOp._bind_winograd`): input
     tiles and the kernel move into the Winograd domain, multiply there
     as one batched GEMM per frequency, and transform back — the same
     :mod:`repro.runtime.winograd` matrices, applied to the engine's

@@ -47,7 +47,6 @@ original module under ``no_grad``, so ``compile_model`` is total.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -58,7 +57,6 @@ from .. import nn
 from ..nn.functional import im2col_nhwc, pool_windows_nhwc
 from .arena import Arena
 from .backends import Epilogue
-from .engine import dispatch
 from .ir import Graph, TensorMeta
 from .plan import ExecutionPlan, PlanCache
 from .tune import GATHER_WIDTH_LIMIT  # noqa: F401  (canonical home: tune.py)
@@ -80,20 +78,10 @@ SLAB_BYTES = 64 * 2**20
 # Serialises the lazy builds of derived GEMM operands (prepare(), the
 # decoded SPM weight, Winograd and int8 operands). Lanes of one predict
 # call run the same ops on several threads; without the lock each lane
-# would build — and its trace pin — a private copy of every operand.
+# would build — and its bound thunks pin — a private copy of every operand.
 # Builders check their memo, then re-check under the lock (reentrant:
 # a Winograd build decodes the SPM weight it transforms).
 _derive_lock = threading.RLock()
-
-
-def trace_enabled() -> bool:
-    """Whether steady-state calls run the recorded trace executor.
-
-    ``REPRO_TRACE=0`` keeps every call on the per-op dispatch loop (the
-    debug/measurement path); anything else — including unset — enables
-    tracing. Read per call so tests and operators can flip it live.
-    """
-    return os.environ.get("REPRO_TRACE", "1") != "0"
 
 
 # ---------------------------------------------------------------------
@@ -182,14 +170,45 @@ class _ExecState:
 
     arena: Arena
     plans: PlanCache
-    # (input shape, dtype) -> recorded thunk list for the trace executor.
+    # (input shape, dtype) -> bound thunk list (CompiledModel.__call__).
     # Thunks prebind arena buffers and GEMM operands, so the dict must be
     # cleared whenever either is released (see CompiledModel.release_*).
     traces: Dict[tuple, list] = field(default_factory=dict)
 
 
+Thunk = Callable[[np.ndarray], np.ndarray]
+
+
+def _bind_chain(
+    ops: Sequence["_InferenceOp"], x: np.ndarray, state: _ExecState
+) -> Tuple[List[Thunk], np.ndarray]:
+    """Bind ``ops`` in order; returns ``(thunks, output)``.
+
+    Each op binds against its real input, which is the previous thunk's
+    output, so binding a chain runs it once.
+    """
+    thunks = []
+    for op in ops:
+        thunk = op.bind(x, state)
+        x = thunk(x)
+        thunks.append(thunk)
+    return thunks, x
+
+
+def _replay(thunks: List[Thunk], x: np.ndarray) -> np.ndarray:
+    for thunk in thunks:
+        x = thunk(x)
+    return x
+
+
 class _InferenceOp:
     """One step of the compiled pipeline: ndarray in, ndarray out.
+
+    The execution contract is :meth:`bind`: given the op's real input
+    ``x``, return a thunk that computes the op for ``x`` and for every
+    later input of the same shape and dtype. Binding resolves plans,
+    arena buffers, GEMM operands and layout decisions once; calling the
+    thunk only does the arithmetic. :meth:`run` is the one-shot form.
 
     ``layout_in`` / ``layout_out`` declare the op's activation-layout
     contract for :meth:`repro.runtime.ir.Graph.verify` (``"any"`` /
@@ -202,22 +221,12 @@ class _InferenceOp:
     layout_out: str = "same"
     spatial_only: bool = False
 
-    def run(
-        self, x: np.ndarray, state: _ExecState, backend: Optional[str]
-    ) -> np.ndarray:
+    def bind(self, x: np.ndarray, state: _ExecState) -> Thunk:
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def make_thunk(
-        self, x: np.ndarray, state: _ExecState
-    ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        """Prebound steady-state closure for ``x``'s geometry, or None.
-
-        Called by the trace recorder with the op's actual input; a
-        returned thunk must be equivalent to ``run(x, state, None)`` for
-        every later input of the same shape/dtype/buffer identity. None
-        keeps the op on generic dispatch inside the trace.
-        """
-        return None
+    def run(self, x: np.ndarray, state: _ExecState) -> np.ndarray:
+        """Bind and call once (calibration, probes and tests)."""
+        return self.bind(x, state)(x)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -236,7 +245,7 @@ class _InferenceOp:
     def release_derived(self) -> int:
         """Drop rebuildable derived state; returns the bytes freed.
 
-        The next :meth:`run` rebuilds lazily, so releasing is always
+        The next :meth:`bind` rebuilds lazily, so releasing is always
         safe — it trades the first post-release latency for memory.
         """
         return 0
@@ -250,13 +259,7 @@ class ToNHWC(_InferenceOp):
     layout_in = "nchw"
     layout_out = "nhwc"
 
-    def run(self, x, state, backend):
-        n, c, h, w = x.shape
-        out = state.arena.take(f"{self.tag}:out", (n, h, w, c), x.dtype)
-        out[...] = x.transpose(0, 2, 3, 1)
-        return out
-
-    def make_thunk(self, x, state):
+    def bind(self, x, state):
         n, c, h, w = x.shape
         out = state.arena.take(f"{self.tag}:out", (n, h, w, c), x.dtype)
 
@@ -278,13 +281,7 @@ class ToNCHW(_InferenceOp):
     layout_in = "nhwc"
     layout_out = "nchw"
 
-    def run(self, x, state, backend):
-        n, h, w, c = x.shape
-        out = state.arena.take(f"{self.tag}:out", (n, c, h, w), x.dtype)
-        out[...] = x.transpose(0, 3, 1, 2)
-        return out
-
-    def make_thunk(self, x, state):
+    def bind(self, x, state):
         n, h, w, c = x.shape
         out = state.arena.take(f"{self.tag}:out", (n, c, h, w), x.dtype)
 
@@ -296,6 +293,19 @@ class ToNCHW(_InferenceOp):
 
     def describe(self) -> str:
         return "to-nchw"
+
+
+def _out_buffer(arena: Arena, tag: str, halo, shape, dtype) -> np.ndarray:
+    """An op's ``:out`` buffer, or the consumer's pad interior under halo
+    fusion (``halo = (consumer tag, consumer padding)``)."""
+    if halo is not None:
+        consumer_tag, p = halo
+        n, oh, ow, c = shape
+        buffer = arena.take_filled(
+            f"{consumer_tag}:pad", (n, oh + 2 * p, ow + 2 * p, c), dtype, 0.0
+        )
+        return buffer[:, p : p + oh, p : p + ow, :]
+    return arena.take(f"{tag}:out", shape, dtype)
 
 
 @dataclass
@@ -311,20 +321,22 @@ class ConvOp(_InferenceOp):
     NHWC operand with the bias folded in as an extra row against an
     all-ones column — plus the :class:`Epilogue`) is built by
     :meth:`prepare`, which the ``finalize`` pass runs eagerly and
-    :meth:`run` on demand; a pass that changes source parameters calls
+    :meth:`bind` on demand; a pass that changes source parameters calls
     :meth:`invalidate` to force a rebuild.
 
-    SPM-encoded layers keep their encoding and run the
-    grouped-contraction gather natively on NHWC columns when
-    ``use_gather`` (the static rule compares contraction widths; the
-    tune pass may override it per layer), decoding once into a dense
-    GEMM otherwise. A forced ``backend=`` routes through
-    :func:`repro.runtime.dispatch` with layout conversions on both
-    sides — correct for any registered backend, just slower.
+    Two schedules: Winograd F(m x m, 3x3) (``wino_m``) and the column
+    GEMM. The column GEMM unfolds the input with im2col and multiplies
+    it by the dense operand, or — for SPM-encoded layers with
+    ``use_gather`` — gathers the ``|P| * n`` pattern positions per
+    channel and multiplies by the grouped pattern weights natively.
+    It runs monolithic, or in bands of whole images (or of output rows)
+    when the columns outgrow the workspace budget. Every schedule ends
+    in the same two hooks, :meth:`_out_dtype` and :meth:`_epilogue`,
+    which is all the int8 op overrides besides its GEMM operand.
 
     ``halo`` names the direct consumer's padded input buffer: the
-    monolithic dense path then writes its activation straight into that
-    buffer's interior, so the consumer skips its pad copy entirely.
+    epilogue then writes its activation straight into that buffer's
+    interior, so the consumer skips its pad copy entirely.
     """
 
     stride: int
@@ -337,7 +349,6 @@ class ConvOp(_InferenceOp):
     bias: Optional[np.ndarray] = None
     encoded: Optional[object] = None
     relu: bool = False
-    backend: Optional[str] = None
     dtype: Optional[object] = None
     use_gather: bool = False
     wino_m: int = 0  # Winograd output-tile size (0 = im2col/gather GEMM)
@@ -348,21 +359,24 @@ class ConvOp(_InferenceOp):
     weight_t: Optional[np.ndarray] = field(default=None, repr=False)
     bias_rows: int = 0  # 1 when the bias is folded into weight_t, else 0
     epilogue: Optional[Epilogue] = field(default=None, repr=False)
-    _weight_nchw: Optional[np.ndarray] = field(default=None, repr=False)
     _decoded_t: Optional[np.ndarray] = field(default=None, repr=False)
+    _grouped_t: Optional[np.ndarray] = field(default=None, repr=False)
     _wino_u: Optional[np.ndarray] = field(default=None, repr=False)
     _prepared: bool = field(default=False, repr=False)
 
     layout_in = "nhwc"
     layout_out = "nhwc"
     spatial_only = True
+    #: Column-workspace budget of the GEMM schedule when no tuned
+    #: ``slab_bytes`` applies (see :meth:`_bands`).
+    band_bytes = SLAB_BYTES
 
     # -- derived-state lifecycle --------------------------------------
     def prepare(self) -> None:
         """Build the GEMM operands from the current source parameters.
 
         Idempotent; run eagerly by the ``finalize`` pass and lazily by
-        :meth:`run` (measurement clones execute before finalize).
+        :meth:`bind` (measurement clones execute before finalize).
         """
         if self._prepared:
             return
@@ -399,8 +413,8 @@ class ConvOp(_InferenceOp):
         self.weight_t = None
         self.bias_rows = 0
         self.epilogue = None
-        self._weight_nchw = None
         self._decoded_t = None
+        self._grouped_t = None
         self._wino_u = None
         self._prepared = False
 
@@ -412,7 +426,7 @@ class ConvOp(_InferenceOp):
 
     def derived_nbytes(self) -> int:
         total = _arr_nbytes(
-            self.weight_t, self._weight_nchw, self._decoded_t, self._wino_u
+            self.weight_t, self._decoded_t, self._grouped_t, self._wino_u
         )
         if self.encoded is not None:
             total += self.encoded.cached_nbytes
@@ -444,39 +458,20 @@ class ConvOp(_InferenceOp):
             bias=self.bias,
             encoded=self.encoded,
             relu=self.relu,
-            backend=None,
             dtype=self.dtype,
             use_gather=self.use_gather if use_gather is None else use_gather,
             wino_m=self.wino_m if wino_m is None else wino_m,
             slab_bytes=slab_bytes,
         )
 
-    def run(self, x, state, backend):
+    def bind(self, x, state):
         if not self._prepared:
             self.prepare()
-        override = backend or self.backend
-        if override is not None:
-            return self._run_via_engine(x, state, override)
-        if self.use_gather:
-            return self._run_gather(x, state)
-        if self.wino_m:
-            thunk = self._wino_closure(x, state)
-            if thunk is not None:
-                return thunk(x)
-        return self._run_dense(x, state)
-
-    def make_thunk(self, x, state):
-        if self.backend is not None:
-            return None
-        if not self._prepared:
-            self.prepare()
-        if self.use_gather:
-            return None
-        if self.wino_m:
-            thunk = self._wino_closure(x, state)
+        if self.wino_m and not self.use_gather:
+            thunk = self._bind_winograd(x, state)
             if thunk is not None:
                 return thunk
-        return self._dense_thunk(x, state)
+        return self._bind_gemm(x, state)
 
     # -- shared geometry ----------------------------------------------
     def _plan(self, x: np.ndarray, state: _ExecState) -> ExecutionPlan:
@@ -490,52 +485,193 @@ class ConvOp(_InferenceOp):
             ),
         )
 
-    def _slab_rows(self, plan: ExecutionPlan, per_row: int, itemsize: int) -> int:
-        oh, _ = plan.out_hw
-        # A tuned schedule replaces the budget, not the row count, so the
-        # workspace footprint it was measured at holds for every batch.
-        budget_bytes = SLAB_BYTES if self.slab_bytes is None else self.slab_bytes
-        budget = budget_bytes // max(1, itemsize)
-        return max(1, min(oh, budget // max(1, per_row)))
+    def _pad_buffer(self, x: np.ndarray, arena: Arena, tag: str, shape) -> tuple:
+        """Zero-bordered input buffer and its interior view for ``x``.
 
-    def _padded_input(self, x: np.ndarray, arena: Arena) -> np.ndarray:
-        """Zero-padded input, skipping the copy when the producer already
-        wrote into this op's pad buffer interior (halo fusion)."""
-        if self.padding <= 0:
-            return x
-        n, h, w, c = x.shape
+        Thunks copy into the interior only when the producer did not
+        already write there (halo fusion: ``x_in.base is pad``).
+        """
         p = self.padding
-        buffer = arena.take_filled(
-            f"{self.tag}:pad", (n, h + 2 * p, w + 2 * p, c), x.dtype, 0.0
-        )
-        if x.base is buffer:
-            return buffer
-        buffer[:, p : p + h, p : p + w, :] = x
-        return buffer
+        h, w = x.shape[1], x.shape[2]
+        pad = arena.take_filled(f"{self.tag}:{tag}", shape, x.dtype, 0.0)
+        return pad, pad[:, p : p + h, p : p + w, :]
 
-    def _store(self, out4: np.ndarray, arena: Arena) -> np.ndarray:
-        """Activation hand-off: relu (+copy into the consumer's halo)."""
-        if self.halo is not None:
-            consumer_tag, p = self.halo
-            n, oh, ow, c = out4.shape
-            buffer = arena.take_filled(
-                f"{consumer_tag}:pad", (n, oh + 2 * p, ow + 2 * p, c), out4.dtype, 0.0
-            )
-            interior = buffer[:, p : p + oh, p : p + ow, :]
-            if self.relu:
-                np.maximum(out4, 0.0, out=interior)
-            else:
-                np.copyto(interior, out4)
-            return interior
+    # -- epilogue hooks -----------------------------------------------
+    def _out_dtype(self, acc_dtype) -> np.dtype:
+        """Dtype of the activation this conv hands on."""
+        return np.dtype(acc_dtype)
+
+    def _dest(self, arena: Arena, shape, acc_dtype) -> np.ndarray:
+        """Where the finished activation lands: the consumer's pad
+        interior under halo fusion, else this op's ``:out`` buffer (the
+        accumulator itself when the dtypes agree, so the epilogue runs
+        in place)."""
+        return _out_buffer(arena, self.tag, self.halo, shape, self._out_dtype(acc_dtype))
+
+    def _epilogue(self, acc: np.ndarray, dest: np.ndarray) -> None:
+        """Finish one accumulator tile into ``dest`` (``acc`` may be
+        clobbered; ``dest`` may be ``acc``): the bias when the GEMM
+        operand does not carry it, then ReLU."""
+        if not self.bias_rows and self.epilogue.bias is not None:
+            np.add(acc, self.epilogue.bias, out=acc)
         if self.relu:
-            np.maximum(out4, 0.0, out=out4)
-        return out4
+            np.maximum(acc, 0.0, out=dest)
+        elif dest is not acc:
+            np.copyto(dest, acc)
 
-    def _finish(self, out4: np.ndarray, arena: Arena) -> np.ndarray:
-        """Monolithic-path epilogue hook; QuantConvOp overrides this
-        with its requantizing variant, so the Winograd and dense paths
-        stay shared between the float and int8 pipelines."""
-        return self._store(out4, arena)
+    # -- column GEMM schedule -----------------------------------------
+    def _gemm_blocks(self) -> Tuple[List[Tuple[int, int]], List[np.ndarray], int]:
+        """The dense GEMM operand as ``(spans, blocks, extra)``: one
+        operand block per K span of the columns, plus ``extra`` ones
+        columns driving bias rows appended to the last block."""
+        weight_t = self._operand_weight_t()
+        k = weight_t.shape[0] - self.bias_rows
+        return [(0, k)], [weight_t], self.bias_rows
+
+    def _bands(self, n: int, oh: int, row_bytes: int) -> List[Tuple[int, int, int, int]]:
+        """Split the output into ``(i0, i1, r0, r1)`` image x row bands.
+
+        One band when the columns fit the budget; otherwise balanced
+        bands of whole images (contiguous accumulator rows, so the GEMM
+        writes in place), or of output rows when one image alone
+        outgrows the budget. ``row_bytes`` is one output row's columns.
+        """
+        budget = self.band_bytes
+        if self.slab_bytes is not None:
+            budget = min(budget, self.slab_bytes)
+        if n * oh * row_bytes <= budget:
+            return [(0, n, 0, oh)]
+        if oh * row_bytes <= budget:
+            imgs = max(1, budget // (oh * row_bytes))
+            imgs = -(-n // (-(-n // imgs)))  # balance the band sizes
+            return [(i0, min(i0 + imgs, n), 0, oh) for i0 in range(0, n, imgs)]
+        rows = max(1, budget // (n * row_bytes))
+        return [(0, n, r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
+
+    def _bind_gemm(self, x, state):
+        """Bind the column GEMM schedule for ``x``: im2col columns times
+        the dense operand, or the gathered pattern positions times the
+        grouped one."""
+        arena = state.arena
+        plan = self._plan(x, state)
+        n = plan.batch
+        kh, kw = self.kernel
+        oh, ow = plan.out_hw
+        c_in, c_out, stride = self.c_in, self.c_out, self.stride
+        offsets = None
+        if self.use_gather:
+            # The columns are the |P| * n pattern positions per channel,
+            # in the grouped operand's (code, slot, channel) row order:
+            # one strided slice of the input per position, no im2col.
+            grouped = self._grouped_operand()
+            spans, blocks, extra = [(0, grouped.shape[0])], [grouped], 0
+            positions = self.encoded.gather_plan().positions_by_code.ravel()
+            offsets = [divmod(int(pos), kw) for pos in positions]
+        else:
+            spans, blocks, extra = self._gemm_blocks()
+        k = spans[-1][1]
+        dtype = np.result_type(x.dtype, blocks[0].dtype)
+        single = len(blocks) == 1
+        # Multi-span operands stage float32-exact span partials into a
+        # float64 accumulator (the int8 exactness certificate).
+        acc_dtype = dtype if single else np.dtype(np.float64)
+        last = len(spans) - 1
+
+        def gemm(cols, acc, partial):
+            if single:
+                np.matmul(cols, blocks[0], out=acc)
+                return
+            for i, (k0, k1) in enumerate(spans):
+                a_blk = cols[:, k0 : k1 + extra] if i == last else cols[:, k0:k1]
+                np.matmul(a_blk, blocks[i], out=partial)
+                if i == 0:
+                    acc[...] = partial
+                else:
+                    acc += partial
+
+        bands = self._bands(n, oh, ow * (k + extra) * dtype.itemsize)
+        band_windows = max((i1 - i0) * (r1 - r0) * ow for i0, i1, r0, r1 in bands)
+        # The ones column multiplying an appended bias row is set by
+        # take_filled exactly once; the fill rewrites only the first k
+        # columns each call.
+        cols_buf = arena.take_filled(
+            f"{self.tag}:cols", (band_windows, k + extra), dtype, 1.0
+        )
+        partial = None
+        if not single:
+            partial = arena.take(
+                f"{self.tag}:partial", (band_windows, c_out), np.float32
+            )
+        shape = (n, oh, ow, c_out)
+        dest = self._dest(arena, shape, acc_dtype)
+        if bands[0][3] - bands[0][2] == oh:
+            acc = arena.take(f"{self.tag}:out", shape, acc_dtype)
+        else:
+            acc = arena.take(f"{self.tag}:tile", (band_windows, c_out), acc_dtype)
+        acc_mat = acc.reshape(-1, c_out)
+        bound = []
+        for i0, i1, r0, r1 in bands:
+            windows = (i1 - i0) * (r1 - r0) * ow
+            cols = cols_buf[:windows]
+            h0, h1 = r0 * stride, (r1 - 1) * stride + 1
+            copies = None
+            if offsets is not None:
+                cols5 = cols.reshape(i1 - i0, r1 - r0, ow, len(offsets), c_in)
+                copies = [
+                    (
+                        cols5[:, :, :, j],
+                        (
+                            slice(i0, i1),
+                            slice(h0 + dr, h1 + dr, stride),
+                            slice(dc, dc + (ow - 1) * stride + 1, stride),
+                        ),
+                    )
+                    for j, (dr, dc) in enumerate(offsets)
+                ]
+            base = i0 * oh * ow if r1 - r0 == oh else 0
+            tile = acc_mat[base : base + windows]
+            tile4 = tile.reshape(i1 - i0, r1 - r0, ow, c_out)
+            bound.append(
+                (
+                    (slice(i0, i1), slice(h0, h1 + kh - 1)),
+                    cols[:, :k],
+                    copies,
+                    cols,
+                    tile,
+                    tile4,
+                    # Same buffer: hand the epilogue the same view, so it
+                    # runs in place.
+                    tile4 if dest is acc else dest[i0:i1, r0:r1],
+                    None if partial is None else partial[:windows],
+                )
+            )
+        kernel = self.kernel
+        epilogue = self._epilogue
+        pad = interior = None
+        if self.padding > 0:
+            p = self.padding
+            h, w = x.shape[1], x.shape[2]
+            pad, interior = self._pad_buffer(
+                x, arena, "pad", (n, h + 2 * p, w + 2 * p, c_in)
+            )
+
+        def thunk(x_in):
+            src = x_in
+            if pad is not None:
+                if x_in.base is not pad:
+                    interior[...] = x_in
+                src = pad
+            for window, cols_k, copies, cols, tile, tile4, dest_band, part in bound:
+                if copies is None:
+                    im2col_nhwc(src[window], kernel, stride, out=cols_k)
+                else:
+                    for column, taps in copies:
+                        column[...] = src[taps]
+                gemm(cols, tile, part)
+                epilogue(tile4, dest_band)
+            return dest
+
+        return thunk
 
     def _operand_weight_t(self) -> np.ndarray:
         """The ``(K[+1], C_out)`` GEMM operand, decoding SPM lazily."""
@@ -543,102 +679,45 @@ class ConvOp(_InferenceOp):
             return self.weight_t
         return self._decoded_weight_t()
 
-    # -- dense GEMM path ----------------------------------------------
-    def _run_dense(self, x, state):
-        arena = state.arena
-        plan = self._plan(x, state)
-        n = plan.batch
-        kh, kw = self.kernel
-        oh, ow = plan.out_hw
-        k = kh * kw * self.c_in
-        if self.weight_t is not None:
-            weight_t = self.weight_t
-        else:
-            # SPM conv lowered to decode + dense GEMM.
-            weight_t = self._decoded_weight_t()
-        gemm_dtype = np.result_type(x.dtype, weight_t.dtype)
-        xp = self._padded_input(x, arena)
-        out = arena.take(f"{self.tag}:out", (n, oh, ow, self.c_out), gemm_dtype)
-        rows = self._slab_rows(plan, n * ow * (k + self.bias_rows), x.dtype.itemsize)
-        if rows >= oh:
-            # The ones column multiplying the appended bias row is set by
-            # take_filled exactly once; im2col rewrites only the first k
-            # columns each call.
-            cols = arena.take_filled(
-                f"{self.tag}:cols", (n * oh * ow, k + self.bias_rows), x.dtype, 1.0
-            )
-            im2col_nhwc(xp, self.kernel, self.stride, out=cols[:, :k])
-            out_mat = out.reshape(n * oh * ow, self.c_out)
-            np.matmul(cols, weight_t, out=out_mat)
-            return self._finish(out, arena)
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            x_slab = xp[:, r0 * self.stride : (r1 - 1) * self.stride + kh, :, :]
-            cols = arena.take_filled(
-                f"{self.tag}:cols",
-                (n * (r1 - r0) * ow, k + self.bias_rows),
-                x.dtype,
-                1.0,
-            )
-            im2col_nhwc(x_slab, self.kernel, self.stride, out=cols[:, :k])
-            tile = arena.take(f"{self.tag}:tile", (len(cols), self.c_out), gemm_dtype)
-            np.matmul(cols, weight_t, out=tile)
-            if self.relu:
-                np.maximum(tile, 0.0, out=tile)
-            out[:, r0:r1] = tile.reshape(n, r1 - r0, ow, self.c_out)
-        return out
+    def _decoded_weight_t(self) -> np.ndarray:
+        """Memoized NHWC GEMM weight decoded from an SPM encoding (bias
+        row appended when the layer carries one, as for dense)."""
+        if self._decoded_t is None:
+            with _derive_lock:
+                if self._decoded_t is None:
+                    decoded = (
+                        self.encoded.decoded_weight()
+                        .transpose(0, 2, 3, 1)
+                        .reshape(self.c_out, -1)
+                        .T
+                    )
+                    if self.bias_rows:
+                        bias = self.epilogue.bias.astype(decoded.dtype)
+                        decoded = np.vstack([decoded, bias[None, :]])
+                    self._decoded_t = np.ascontiguousarray(decoded)
+        return self._decoded_t
 
-    def _dense_thunk(self, x, state):
-        """Prebound monolithic dense GEMM closure (trace executor).
+    def _grouped_operand(self) -> np.ndarray:
+        """Memoized ``(|P| * n * C_in, C_out)`` grouped pattern weights
+        in channels-last gather order: row ``(code, slot, channel)``
+        holds the non-zero value that multiplies that gathered column
+        (zero where the kernel belongs to another code)."""
+        if self._grouped_t is None:
+            with _derive_lock:
+                if self._grouped_t is None:
+                    enc = self.encoded
+                    grouped = np.zeros(
+                        (len(enc.codebook), enc.codebook.n_nonzero, self.c_in, self.c_out),
+                        dtype=enc.values.dtype,
+                    )
+                    kernels = np.arange(enc.num_kernels)
+                    grouped[enc.codes, :, kernels % self.c_in, kernels // self.c_in] = (
+                        enc.values
+                    )
+                    self._grouped_t = grouped.reshape(-1, self.c_out)
+        return self._grouped_t
 
-        Binds the pad/cols/out buffers and the GEMM operand once; the
-        per-call work is exactly :meth:`_run_dense`'s monolithic branch
-        minus every dict lookup and layout decision. Slab-looped
-        geometries return None and stay on generic dispatch.
-        """
-        arena = state.arena
-        plan = self._plan(x, state)
-        n = plan.batch
-        kh, kw = self.kernel
-        oh, ow = plan.out_hw
-        k = kh * kw * self.c_in
-        weight_t = self._operand_weight_t()
-        gemm_dtype = np.result_type(x.dtype, weight_t.dtype)
-        rows = self._slab_rows(plan, n * ow * (k + self.bias_rows), x.dtype.itemsize)
-        if rows < oh:
-            return None
-        out = arena.take(f"{self.tag}:out", (n, oh, ow, self.c_out), gemm_dtype)
-        out_mat = out.reshape(n * oh * ow, self.c_out)
-        cols = arena.take_filled(
-            f"{self.tag}:cols", (n * oh * ow, k + self.bias_rows), x.dtype, 1.0
-        )
-        cols_k = cols[:, :k]
-        kernel, stride = self.kernel, self.stride
-        p = self.padding
-        if p > 0:
-            h, w = x.shape[1], x.shape[2]
-            pad = arena.take_filled(
-                f"{self.tag}:pad", (n, h + 2 * p, w + 2 * p, self.c_in), x.dtype, 0.0
-            )
-            interior = pad[:, p : p + h, p : p + w, :]
-
-            def thunk(x_in):
-                if x_in.base is not pad:
-                    interior[...] = x_in
-                im2col_nhwc(pad, kernel, stride, out=cols_k)
-                np.matmul(cols, weight_t, out=out_mat)
-                return self._finish(out, arena)
-
-        else:
-
-            def thunk(x_in):
-                im2col_nhwc(x_in, kernel, stride, out=cols_k)
-                np.matmul(cols, weight_t, out=out_mat)
-                return self._finish(out, arena)
-
-        return thunk
-
-    # -- Winograd F(m x m, 3x3) path ----------------------------------
+    # -- Winograd F(m x m, 3x3) schedule ------------------------------
     def _wino_operand(self, m: int, dtype) -> np.ndarray:
         """Memoized transformed weights ``U = (G(x)G) W``, ``(f, C_in, C_out)``."""
         f = (m + 2) ** 2
@@ -677,23 +756,16 @@ class ConvOp(_InferenceOp):
                 stride=self.stride,
                 out_hw=out_hw,
                 c_in=self.c_in,
-                backend=self.backend,
                 use_gather=self.use_gather,
             )
             m = default_tile(out_hw=out_hw, c_in=self.c_in, tiles=tiles)
             self.wino_m = m
         return m
 
-    def _wino_closure(self, x, state):
-        """Build the prebound Winograd executor for ``x``'s geometry.
+    def _bind_winograd(self, x, state):
+        """Bind the Winograd schedule for ``x``'s geometry.
 
-        One closure serves both entry points: :meth:`run` builds and
-        invokes it per call (cheap — a handful of arena lookups), the
-        trace executor records it once and replays the tight loop. The
-        epilogue goes through :meth:`_finish`, so the same closure
-        serves the float pipeline (bias+ReLU) and the quantized one
-        (requantize) — the quantized op's integer activation codes are
-        widened to the GEMM dtype during the tile-transform copy.
+        The epilogue goes through the same hooks as the column GEMM.
         Returns ``None`` when the auto tile rule resolves to "stay on
         im2col" for this geometry.
         """
@@ -719,11 +791,10 @@ class ConvOp(_InferenceOp):
         # one partial tile past it, from a wider zero-filled buffer.
         span_h, span_w = m * th + 2, m * tw + 2
         ph, pw = max(h + 2 * p, span_h), max(w + 2 * p, span_w)
-        if p > 0 and ph == h + 2 * p and pw == w + 2 * p:
-            pad = arena.take_filled(f"{self.tag}:pad", (n, ph, pw, c), x.dtype, 0.0)
-        else:
-            pad = arena.take_filled(f"{self.tag}:wpad", (n, ph, pw, c), x.dtype, 0.0)
-        interior = pad[:, p : p + h, p : p + w, :]
+        own = p > 0 and ph == h + 2 * p and pw == w + 2 * p
+        pad, interior = self._pad_buffer(
+            x, arena, "pad" if own else "wpad", (n, ph, pw, c)
+        )
         sn, sh, sw, sc = pad.strides
         tiles = np.lib.stride_tricks.as_strided(
             pad, (n, th, tw, span, span, c), (sn, m * sh, m * sw, sh, sw, sc)
@@ -735,10 +806,11 @@ class ConvOp(_InferenceOp):
         v = arena.take(f"{self.tag}:wv", (f, pcount, c), gemm_dtype)
         mmat = arena.take(f"{self.tag}:wm", (f, pcount, c_out), gemm_dtype)
         ybuf = arena.take(f"{self.tag}:wy", (m * m, pcount * c_out), gemm_dtype)
-        exact = m * th == oh and m * tw == ow
-        if exact:
-            out_full = arena.take(f"{self.tag}:out", (n, oh, ow, c_out), gemm_dtype)
-            out = out_full
+        dest = self._dest(arena, (n, oh, ow, c_out), gemm_dtype)
+        if m * th == oh and m * tw == ow:
+            out_full = out = arena.take(
+                f"{self.tag}:out", (n, oh, ow, c_out), gemm_dtype
+            )
         else:
             out_full = arena.take(
                 f"{self.tag}:wout", (n, m * th, m * tw, c_out), gemm_dtype
@@ -749,6 +821,7 @@ class ConvOp(_InferenceOp):
         d2 = d.reshape(f, pcount * c)
         v2 = v.reshape(f, pcount * c)
         m2 = mmat.reshape(f, pcount * c_out)
+        epilogue = self._epilogue
 
         def thunk(x_in):
             if x_in.base is not pad:
@@ -760,14 +833,13 @@ class ConvOp(_InferenceOp):
             out6[...] = y_src
             if bias is not None:
                 np.add(out, bias, out=out)
-            return self._finish(out, arena)
+            epilogue(out, dest)
+            return dest
 
         return thunk
 
     def schedule_kind(self) -> str:
         """Per-layer schedule annotation for describe()/serving meta."""
-        if self.backend:
-            return f"backend:{self.backend}"
         if self.use_gather:
             return "gather"
         if self.wino_m > 0:
@@ -777,96 +849,6 @@ class ConvOp(_InferenceOp):
         if self.slab_bytes is not None:
             return "slab"
         return "im2col"
-
-    # -- grouped-contraction SPM path ---------------------------------
-    def _run_gather(self, x, state):
-        arena = state.arena
-        plan = self._plan(x, state)
-        n = plan.batch
-        kh, kw = self.kernel
-        k2 = kh * kw
-        oh, ow = plan.out_hw
-        gather = self.encoded.gather_plan()
-        grouped = self.encoded.grouped_weight_matrix()  # (|P|*C_in*n, C_out)
-        gemm_dtype = np.result_type(x.dtype, grouped.dtype)
-        xp = self._padded_input(x, arena)
-        out = arena.take(f"{self.tag}:out", (n, oh, ow, self.c_out), gemm_dtype)
-        per_row = n * ow * max(k2 * self.c_in, grouped.shape[0])
-        rows = self._slab_rows(plan, per_row, x.dtype.itemsize)
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            x_slab = xp[:, r0 * self.stride : (r1 - 1) * self.stride + kh, :, :]
-            cols, _ = im2col_nhwc(
-                x_slab,
-                self.kernel,
-                self.stride,
-                out=arena.take(
-                    f"{self.tag}:cols", (n * (r1 - r0) * ow, k2 * self.c_in), x.dtype
-                ),
-            )
-            # NHWC columns are (position, channel); gather the |P| pattern
-            # position sets, then order (code, channel, slot) to match the
-            # grouped weight matrix's layout.
-            cols_r = cols.reshape(-1, k2, self.c_in)
-            gathered = cols_r[:, gather.positions_by_code, :]  # (W, |P|, n, C)
-            a_mat = gathered.transpose(0, 1, 3, 2).reshape(len(cols_r), -1)
-            tile = a_mat @ grouped
-            self.epilogue.apply(tile)
-            out[:, r0:r1] = tile.reshape(n, r1 - r0, ow, self.c_out)
-        return out
-
-    # -- forced-backend fallback through the engine -------------------
-    def _dense_weight_nchw(self) -> Optional[np.ndarray]:
-        if self._weight_nchw is None and self.weight_t is not None:
-            with _derive_lock:
-                if self._weight_nchw is None:
-                    kh, kw = self.kernel
-                    k = kh * kw * self.c_in
-                    self._weight_nchw = np.ascontiguousarray(
-                        self.weight_t[:k]
-                        .T.reshape(self.c_out, kh, kw, self.c_in)
-                        .transpose(0, 3, 1, 2)
-                    )
-        return self._weight_nchw
-
-    def _decoded_weight_t(self) -> np.ndarray:
-        """Memoized NHWC GEMM weight decoded from an SPM encoding (bias
-        row appended when the layer carries one, as for dense)."""
-        if self._decoded_t is None:
-            with _derive_lock:
-                if self._decoded_t is None:
-                    decoded = (
-                        self.encoded.decoded_weight()
-                        .transpose(0, 2, 3, 1)
-                        .reshape(self.c_out, -1)
-                        .T
-                    )
-                    if self.bias_rows:
-                        bias = self.epilogue.bias.astype(decoded.dtype)
-                        decoded = np.vstack([decoded, bias[None, :]])
-                    self._decoded_t = np.ascontiguousarray(decoded)
-        return self._decoded_t
-
-    def _run_via_engine(self, x, state, override):
-        arena = state.arena
-        n, h, w, c = x.shape
-        x_nchw = arena.take(f"{self.tag}:nchw-in", (n, c, h, w), x.dtype)
-        x_nchw[...] = x.transpose(0, 3, 1, 2)
-        out_nchw = dispatch(
-            x_nchw,
-            self._dense_weight_nchw() if self.encoded is None else None,
-            encoded=self.encoded,
-            stride=self.stride,
-            padding=self.padding,
-            backend=override,
-            cache=state.plans,
-            workspace={"arena": arena, "tag": f"{self.tag}:engine"},
-            epilogue=self.epilogue,
-        )
-        n2, c2, oh, ow = out_nchw.shape
-        out = arena.take(f"{self.tag}:nhwc-out", (n2, oh, ow, c2), out_nchw.dtype)
-        out[...] = out_nchw.transpose(0, 2, 3, 1)
-        return out
 
     def describe(self) -> str:
         kind = "spm-conv" if self.encoded is not None else "conv"
@@ -897,15 +879,7 @@ class LinearOp(_InferenceOp):
     layout_in = "flat"
     layout_out = "flat"
 
-    def run(self, x, state, backend):
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out += self.bias.astype(out.dtype, copy=False)
-        if self.relu:
-            np.maximum(out, 0.0, out=out)
-        return out
-
-    def make_thunk(self, x, state):
+    def bind(self, x, state):
         weight_t = np.ascontiguousarray(self.weight.T)
         out_dtype = np.result_type(x.dtype, weight_t.dtype)
         out = state.arena.take(
@@ -966,16 +940,21 @@ class BatchNormOp(_InferenceOp):
         self.shift4 = None
         return freed
 
-    def run(self, x, state, backend):
+    def bind(self, x, state):
         self.prepare()
+        scale4, shift4, relu = self.scale4, self.shift4, self.relu
         out = state.arena.take(
-            f"{self.tag}:out", x.shape, np.result_type(x.dtype, self.scale4.dtype)
+            f"{self.tag}:out", x.shape, np.result_type(x.dtype, scale4.dtype)
         )
-        np.multiply(x, self.scale4, out=out)
-        out += self.shift4
-        if self.relu:
-            np.maximum(out, 0.0, out=out)
-        return out
+
+        def thunk(x_in):
+            np.multiply(x_in, scale4, out=out)
+            np.add(out, shift4, out=out)
+            if relu:
+                np.maximum(out, 0.0, out=out)
+            return out
+
+        return thunk
 
     def describe(self) -> str:
         return "batchnorm+relu" if self.relu else "batchnorm"
@@ -987,16 +966,12 @@ class ReluOp(_InferenceOp):
 
     tag: str
 
-    def run(self, x, state, backend):
-        out = state.arena.take(f"{self.tag}:out", x.shape, x.dtype)
-        # Integer zero: ReLU inside a quantized region runs on int8
-        # activation codes, where a float 0.0 would force a promotion.
-        return np.maximum(x, 0, out=out)
-
-    def make_thunk(self, x, state):
+    def bind(self, x, state):
         out = state.arena.take(f"{self.tag}:out", x.shape, x.dtype)
 
         def thunk(x_in):
+            # Integer zero: ReLU inside a quantized region runs on int8
+            # activation codes, where a float 0.0 would force a promotion.
             return np.maximum(x_in, 0, out=out)
 
         return thunk
@@ -1005,16 +980,44 @@ class ReluOp(_InferenceOp):
         return "relu"
 
 
-def _pool_out(arena: Arena, tag: str, halo, shape, dtype) -> np.ndarray:
-    """Pool output buffer — the consumer's pad interior under halo fusion."""
-    if halo is not None:
-        consumer_tag, p = halo
-        n, oh, ow, c = shape
-        buffer = arena.take_filled(
-            f"{consumer_tag}:pad", (n, oh + 2 * p, ow + 2 * p, c), dtype, 0.0
+def _bind_pool(op, x, state, reduce, padding: int = 0) -> Thunk:
+    """Bind a max/avg pool: window view, reduction, halo-aware output.
+
+    The window view binds to the bound input buffer (a padded copy, or
+    the producer's stable arena buffer); an input that is a different
+    array gets a fresh view.
+    """
+    src = x
+    interior = None
+    if padding > 0:
+        # Identity-of-max borders so padded cells never win; filled once
+        # at allocation, only the interior is copied per call. (int8
+        # activation codes get the integer minimum: -inf does not cast.)
+        n, h, w, c = x.shape
+        p = padding
+        lowest = (
+            -np.inf if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
         )
-        return buffer[:, p : p + oh, p : p + ow, :]
-    return arena.take(f"{tag}:out", shape, dtype)
+        src = state.arena.take_filled(
+            f"{op.tag}:pad", (n, h + 2 * p, w + 2 * p, c), x.dtype, lowest
+        )
+        interior = src[:, p : p + h, p : p + w, :]
+    kernel, stride = op.kernel, op.stride
+    windows = pool_windows_nhwc(src, kernel, stride)
+    n, oh, ow = windows.shape[:3]
+    out = _out_buffer(state.arena, op.tag, op.halo, (n, oh, ow, x.shape[3]), x.dtype)
+
+    def thunk(x_in):
+        if interior is not None:
+            interior[...] = x_in
+            view = windows
+        elif x_in is src:
+            view = windows
+        else:
+            view = pool_windows_nhwc(x_in, kernel, stride)
+        return reduce(view, axis=(3, 4), out=out)
+
+    return thunk
 
 
 @dataclass
@@ -1029,50 +1032,8 @@ class MaxPoolOp(_InferenceOp):
     layout_out = "nhwc"
     spatial_only = True
 
-    def run(self, x, state, backend):
-        if self.padding > 0:
-            # Identity-of-max borders so padded cells never win; filled
-            # once at allocation, only the interior is copied per call.
-            # (int8 activation codes get the integer minimum: -inf does
-            # not cast.)
-            n, h, w, c = x.shape
-            p = self.padding
-            lowest = (
-                -np.inf
-                if np.issubdtype(x.dtype, np.floating)
-                else np.iinfo(x.dtype).min
-            )
-            buf = state.arena.take_filled(
-                f"{self.tag}:pad", (n, h + 2 * p, w + 2 * p, c), x.dtype, lowest
-            )
-            buf[:, p : p + h, p : p + w, :] = x
-            x = buf
-        windows = pool_windows_nhwc(x, self.kernel, self.stride)
-        n, oh, ow = windows.shape[:3]
-        out = _pool_out(
-            state.arena, self.tag, self.halo, (n, oh, ow, x.shape[3]), x.dtype
-        )
-        return np.max(windows, axis=(3, 4), out=out)
-
-    def make_thunk(self, x, state):
-        if self.padding > 0:
-            return None
-        # The window view binds to the producer's (stable) arena buffer;
-        # if a later call ever hands a different array, fall back to the
-        # generic path rather than reading stale data.
-        windows = pool_windows_nhwc(x, self.kernel, self.stride)
-        n, oh, ow = windows.shape[:3]
-        out = _pool_out(
-            state.arena, self.tag, self.halo, (n, oh, ow, x.shape[3]), x.dtype
-        )
-        bound = x
-
-        def thunk(x_in):
-            if x_in is not bound:
-                return self.run(x_in, state, None)
-            return np.max(windows, axis=(3, 4), out=out)
-
-        return thunk
+    def bind(self, x, state):
+        return _bind_pool(self, x, state, np.max, self.padding)
 
     def describe(self) -> str:
         return f"maxpool{self.kernel}"
@@ -1089,13 +1050,8 @@ class AvgPoolOp(_InferenceOp):
     layout_out = "nhwc"
     spatial_only = True
 
-    def run(self, x, state, backend):
-        windows = pool_windows_nhwc(x, self.kernel, self.stride)
-        n, oh, ow = windows.shape[:3]
-        out = _pool_out(
-            state.arena, self.tag, self.halo, (n, oh, ow, x.shape[3]), x.dtype
-        )
-        return np.mean(windows, axis=(3, 4), out=out)
+    def bind(self, x, state):
+        return _bind_pool(self, x, state, np.mean)
 
     def describe(self) -> str:
         return f"avgpool{self.kernel}"
@@ -1109,17 +1065,14 @@ class GlobalAvgPoolOp(_InferenceOp):
     layout_out = "flat"
     spatial_only = True
 
-    def run(self, x, state, backend):
-        return x.mean(axis=(1, 2))  # NHWC -> (N, C)
-
-    def make_thunk(self, x, state):
-        if not np.issubdtype(x.dtype, np.floating):
-            return None  # integer means promote; keep run()'s semantics
+    def bind(self, x, state):
         n, h, w, c = x.shape
-        out = state.arena.take(f"{self.tag}:out", (n, c), x.dtype)
+        out = None
+        if np.issubdtype(x.dtype, np.floating):  # integer means promote
+            out = state.arena.take(f"{self.tag}:out", (n, c), x.dtype)
 
         def thunk(x_in):
-            return np.mean(x_in, axis=(1, 2), out=out)
+            return np.mean(x_in, axis=(1, 2), out=out)  # NHWC -> (N, C)
 
         return thunk
 
@@ -1137,13 +1090,7 @@ class FlattenOp(_InferenceOp):
     layout_out = "flat"
     spatial_only = True
 
-    def run(self, x, state, backend):
-        n, h, w, c = x.shape
-        out = state.arena.take(f"{self.tag}:out", (n, c * h * w), x.dtype)
-        out.reshape(n, c, h, w)[...] = x.transpose(0, 3, 1, 2)
-        return out
-
-    def make_thunk(self, x, state):
+    def bind(self, x, state):
         n, h, w, c = x.shape
         out = state.arena.take(f"{self.tag}:out", (n, c * h * w), x.dtype)
         out_nchw = out.reshape(n, c, h, w)
@@ -1187,19 +1134,31 @@ class ResidualOp(_InferenceOp):
         """The shortcut branch's executable ops, in order."""
         return self.shortcut_graph.op_list()
 
-    def run(self, x, state, backend):
-        out = x
-        for op in self.body:
-            out = op.run(out, state, backend)
-        identity = x
-        for op in self.shortcut:
-            identity = op.run(identity, state, backend)
-        if out is x:  # degenerate empty body: do not mutate the input
-            out = x.copy()
-        np.add(out, identity, out=out)
-        if self.relu:
-            np.maximum(out, 0.0, out=out)
-        return out
+    def bind(self, x, state):
+        """The branches bind on the thunk's first call, against their
+        real inputs, so binding never runs them twice."""
+        body, shortcut, relu = self.body, self.shortcut, self.relu
+        # A degenerate empty body must not add into the input itself.
+        copy = None if body else state.arena.take(f"{self.tag}:out", x.shape, x.dtype)
+        bound = []
+
+        def thunk(x_in):
+            if bound:
+                out = _replay(bound[0], x_in)
+                identity = _replay(bound[1], x_in)
+            else:
+                body_thunks, out = _bind_chain(body, x_in, state)
+                shortcut_thunks, identity = _bind_chain(shortcut, x_in, state)
+                bound.extend((body_thunks, shortcut_thunks))
+            if copy is not None:
+                np.copyto(copy, x_in)
+                out = copy
+            np.add(out, identity, out=out)
+            if relu:
+                np.maximum(out, 0.0, out=out)
+            return out
+
+        return thunk
 
     def describe(self) -> str:
         body = " ".join(op.describe() for op in self.body)
@@ -1209,7 +1168,12 @@ class ResidualOp(_InferenceOp):
 
 @dataclass
 class ModuleOp(_InferenceOp):
-    """Fallback: run an unlowered module under no_grad in eval mode."""
+    """Fallback: run an unlowered module under no_grad in eval mode.
+
+    Also the lowering of a ``Conv2d`` pinned to an engine ``backend``:
+    the pin is honoured through the eager engine, and the layer shows
+    up as ``module:Conv2d`` in :meth:`CompiledModel.describe`.
+    """
 
     module: nn.Module
     tag: str
@@ -1220,21 +1184,25 @@ class ModuleOp(_InferenceOp):
     layout_in = "any"
     layout_out = "same"
 
-    def run(self, x, state, backend):
-        was_training = self.module.training
-        self.module.eval()
-        try:
-            with nn.no_grad():
-                return self.module(nn.Tensor(x, dtype=None)).data
-        finally:
-            self.module.train(was_training)
+    def bind(self, x, state):
+        module = self.module
+
+        def thunk(x_in):
+            was_training = module.training
+            module.eval()
+            try:
+                with nn.no_grad():
+                    return module(nn.Tensor(x_in, dtype=None)).data
+            finally:
+                module.train(was_training)
+
+        return thunk
 
     def param_nbytes(self) -> int:
         return sum(int(p.data.nbytes) for p in self.module.parameters())
 
     def describe(self) -> str:
         return f"module:{type(self.module).__name__}"
-
 
 # ---------------------------------------------------------------------
 # The compiled model
@@ -1393,11 +1361,13 @@ class CompiledModel:
                 prepare()
 
     # -- execution -----------------------------------------------------
-    def __call__(self, x: np.ndarray, *, backend: Optional[str] = None) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         """Run the compiled pipeline over a batch.
 
-        ``backend`` forces every conv onto one engine backend, mirroring
-        ``predict(..., backend=...)`` on eager models.
+        The first call at a given (shape, dtype) binds every op against
+        its real input (binding runs the ops once, so that call costs
+        one forward) and keeps the thunk list; later calls replay it —
+        no plan-cache lookups, no arena dict hits, no per-op branching.
         """
         x = np.asarray(x)
         if x.ndim != 4:
@@ -1406,12 +1376,12 @@ class CompiledModel:
         if self.dtype is not None and x.dtype != self.dtype:
             x = x.astype(self.dtype)
         state = self._state()
-        if backend is None and trace_enabled():
-            out = self._run_traced(x, state)
+        key = (x.shape, np.dtype(x.dtype))
+        thunks = state.traces.get(key)
+        if thunks is None:
+            state.traces[key], out = _bind_chain(self.ops, x, state)
         else:
-            out = x
-            for op in self.ops:
-                out = op.run(out, state, backend)
+            out = _replay(thunks, x)
         if geometry_key not in self._geometry:
             self._geometry[geometry_key] = (out.shape[1:], np.dtype(out.dtype))
         # The last op's result may be a view into an arena buffer that the
@@ -1419,49 +1389,12 @@ class CompiledModel:
         # head-sized, so this is cheap).
         return np.array(out, copy=True)
 
-    def _run_traced(self, x: np.ndarray, state: _ExecState) -> np.ndarray:
-        """Steady-state executor: replay the recorded thunk list.
-
-        The first call at a given (shape, dtype) records the trace — it
-        runs each op once through :meth:`_InferenceOp.make_thunk` (or a
-        generic ``op.run`` wrapper), capturing prebound buffers, GEMM
-        operands and frozen layout decisions. Replays are a tight loop
-        over plain callables: no plan-cache lookups, no arena dict hits,
-        no per-op branching. Recording doubles as execution, so the
-        first call costs the same as dispatch.
-        """
-        key = (x.shape, np.dtype(x.dtype))
-        thunks = state.traces.get(key)
-        if thunks is not None:
-            out = x
-            for thunk in thunks:
-                out = thunk(out)
-            return out
-        thunks = []
-        out = x
-        for op in self.ops:
-            thunk = op.make_thunk(out, state)
-            if thunk is None:
-
-                def thunk(x_in, _op=op, _state=state):
-                    return _op.run(x_in, _state, None)
-
-            out = thunk(out)
-            thunks.append(thunk)
-        state.traces[key] = thunks
-        return out
-
-    def executor_kind(self) -> str:
-        """``"trace"`` when steady-state calls replay recorded thunks,
-        ``"dispatch"`` under ``REPRO_TRACE=0``."""
-        return "trace" if trace_enabled() else "dispatch"
-
     def schedule_summary(self) -> List[dict]:
         """Per-layer schedule kinds for describe()/serving meta.
 
         One row per conv-like op: the lowering tag, op class, the
         chosen schedule kind (``winograd4``/``winograd2``/``im2col``/
-        ``gather``/``slab``/``backend:*``) and, for quantized convs,
+        ``gather``/``slab``) and, for quantized convs,
         which int8 GEMM kernel serves the layer.
         """
         rows = []
@@ -1591,7 +1524,7 @@ class CompiledModel:
     def describe(self) -> str:
         """The pass-annotated pipeline: trace, ops, and reports."""
         header = f"CompiledModel({self.source or 'model'}, dtype={self.dtype})"
-        lines = [header, f"  executor: {self.executor_kind()}"]
+        lines = [header]
         if self.passes:
             trace = " -> ".join(record.name for record in self.passes)
             lines.append(f"  passes: {trace}")

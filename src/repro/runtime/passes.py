@@ -272,7 +272,6 @@ def _lower_conv(step: nn.Conv2d, ctx: CompileContext):
         weight=weight,
         bias=bias,
         encoded=encoded,
-        backend=params["backend"],
         dtype=ctx.dtype,
         use_gather=use_gather,
     )
@@ -336,7 +335,9 @@ def _lower_steps(steps: Sequence[object], ctx: CompileContext, graph: Graph) -> 
             )
             node.subgraphs.update(branches)
             continue
-        if isinstance(step, nn.Conv2d):
+        if isinstance(step, nn.Conv2d) and step.backend is None:
+            # A conv pinned to an engine backend falls through to a
+            # ModuleOp below, so the pin is honoured, visibly.
             ensure("nhwc")
             graph.append(_lower_conv(step, ctx))
             continue
@@ -422,7 +423,7 @@ def pass_fold_bn(graph: Graph, ctx: CompileContext) -> str:
             if not isinstance(node.op, BatchNormOp) or not node.inputs:
                 continue
             producer = node.inputs[0].op
-            if not isinstance(producer, ConvOp) or producer.backend is not None:
+            if not isinstance(producer, ConvOp):
                 continue
             bn = node.op
             if producer.encoded is not None:
@@ -500,8 +501,8 @@ def pass_fuse_epilogues(graph: Graph, ctx: CompileContext) -> str:
 def pass_winograd(graph: Graph, ctx: CompileContext) -> str:
     """Mark eligible convs for the Winograd F(m x m, 3x3) fast path.
 
-    Eligibility is static (3x3 kernel, stride 1, no gather schedule or
-    backend override — see :func:`repro.runtime.winograd.eligible_tiles`);
+    Eligibility is static (3x3 kernel, stride 1, no gather schedule —
+    see :func:`repro.runtime.winograd.eligible_tiles`);
     the *tile* needs each conv's output size. With ``ctx.input_shape``
     the pass propagates shapes analytically and picks a concrete tile
     per layer (``wino_m = 4``/``2``); without it, eligible convs get the
@@ -526,7 +527,6 @@ def pass_winograd(graph: Graph, ctx: CompileContext) -> str:
         if (
             tuple(op.kernel) != (3, 3)
             or op.stride != 1
-            or op.backend is not None
             or op.use_gather
             or op.c_in < 16
         ):
@@ -542,7 +542,6 @@ def pass_winograd(graph: Graph, ctx: CompileContext) -> str:
             stride=op.stride,
             out_hw=out_hw,
             c_in=op.c_in,
-            backend=op.backend,
             use_gather=op.use_gather,
         )
         m = default_tile(out_hw=out_hw, c_in=op.c_in, tiles=tiles)
@@ -633,11 +632,9 @@ def pass_link_halos(graph: Graph, ctx: CompileContext) -> str:
 
     When a padded conv directly consumes a conv or pool, the producer
     writes its activation straight into the interior of the consumer's
-    zero-bordered pad buffer — the consumer's ``_padded_input`` then
+    zero-bordered pad buffer — the consumer's bound thunk then
     recognises its own buffer (``x.base is buffer``) and skips the pad
-    copy entirely. Best-effort: producer paths that cannot honour it
-    (slab tiling, gather, forced backends) return their own buffer and
-    the consumer copies as usual.
+    copy entirely. Every conv schedule and pool honours it.
     """
     from .compile import AvgPoolOp, ConvOp, MaxPoolOp
 

@@ -194,6 +194,11 @@ def predict(
     backend:
         Force a specific conv backend for the whole call (e.g.
         ``"tiled"``); ``None`` lets the engine auto-select per layer.
+        Eager-only: a compiled call (a :class:`CompiledModel`, or any of
+        ``compile``/``quantize``/``tune``) rejects it with
+        ``ValueError`` — the pipeline runs the schedules it was compiled
+        with. To pin one layer, set its ``Conv2d.backend`` before
+        compiling; it then lowers to a visible ``ModuleOp``.
     workers:
         Run micro-batches on a thread pool of this size. BLAS releases
         the GIL during the GEMMs that dominate inference, so chunks
@@ -224,8 +229,7 @@ def predict(
         read-only views of the same weights, which is what scales past
         the GIL. A process pool is bound to one compiled model, so
         ``model`` must be that exact :class:`CompiledModel`; ``workers``
-        defaults to the pool's process count and ``backend=`` overrides
-        are rejected (workers run the pipeline as compiled).
+        defaults to the pool's process count.
     compile:
         Lower the model with :func:`~repro.runtime.compile.compile_model`
         for this call (BN folding, fused epilogues, float32, arenas).
@@ -283,13 +287,14 @@ def predict(
         )
     compile = compile or quantize is not None or tune is not None
     want_compiled = compile or isinstance(model, CompiledModel)
+    if backend is not None and want_compiled:
+        raise ValueError(
+            "backend= is eager-only: a compiled pipeline runs the schedules "
+            "it was compiled with (pin Conv2d.backend before compiling to "
+            "keep that layer on an engine backend)"
+        )
     process_pool = executor is not None and getattr(executor, "is_process_pool", False)
     if process_pool:
-        if backend is not None:
-            raise ValueError(
-                "backend= cannot be combined with a process-pool executor "
-                "(workers run the pipeline exactly as compiled)"
-            )
         if not isinstance(model, CompiledModel) or model is not executor.compiled:
             raise ValueError(
                 "a process-pool executor serves the compiled model it was "
@@ -373,7 +378,7 @@ def predict(
     def run_chunk(index: int) -> np.ndarray:
         chunk_start = time.perf_counter()
         if compiled is not None:
-            out = compiled(chunks[index], backend=backend)
+            out = compiled(chunks[index])
         else:
             # Grad mode is per-thread, so each (possibly pooled) worker
             # disables recording for its own chunk.

@@ -30,30 +30,21 @@ module closes that gap with two execution paths:
 
 **Arithmetic model.** Activations flow between quantized convs as real
 ``int8`` arrays (the carried bytes are the codes, not float stand-ins),
-and the dense GEMM runs through one of the kernels in the int8 kernel
-registry — see :func:`get_int8_kernel`:
+and dense convs run the ``"blocked"`` integer GEMM
+(:attr:`QuantizationConfig.kernel`): K-blocked float32 BLAS. Every
+int8 product satisfies ``|a*b| <= 127^2 < 2^14``, so a block of up to
+:data:`INT8_BLOCK_K` = 1024 products sums below ``2^24`` and float32
+represents each block-partial *exactly*; the partials accumulate in a
+float64 buffer (53-bit exact), making the whole GEMM bit-identical to
+the int32 datapath of :func:`repro.arch.fixed_point.int8_mac` — the
+integer-dtype :func:`int8_gemm_int32` is the test oracle — while running
+at sgemm speed. ``"float"`` carries the codes in float arrays through a
+plain BLAS GEMM instead (float64 exact for every realisable int8 conv,
+float32 to ~2^-24 relative); wider-than-8-bit codes always take it.
 
-- ``"blocked"`` (always available): K-blocked float32 BLAS. Every
-  int8 product satisfies ``|a*b| <= 127^2 < 2^14``, so a block of up to
-  :data:`INT8_BLOCK_K` = 1024 products sums below ``2^24`` and float32
-  represents each block-partial *exactly*; the partials accumulate in a
-  float64 buffer (53-bit exact), making the whole GEMM bit-identical to
-  the int32 datapath of :func:`repro.arch.fixed_point.int8_mac` while
-  running at sgemm speed.
-- ``"numba"`` (optional): a true int8 x int8 -> wide-accumulator loop
-  nest JIT-compiled by numba when the import succeeds; absent numba the
-  registry silently serves ``"blocked"`` instead.
-- ``"reference"``: :func:`int8_gemm_int32`, numpy's integer-dtype
-  matmul — exact but far too slow to serve with; the bit-identity
-  oracle the other kernels are tested against.
-- ``"float"``: the pre-registry behaviour — codes carried in float
-  arrays through a plain BLAS GEMM (float64 exact for every realisable
-  int8 conv, float32 to ~2^-24 relative).
-
-``REPRO_INT8_KERNEL`` overrides the choice at compile time. This is the
-honest numpy rendering of the hardware story: int8 storage, int8
-operand traffic, integer products, wide accumulation, scales folded in
-the epilogue.
+This is the honest numpy rendering of the hardware story: int8
+storage, int8 operand traffic, integer products, wide accumulation,
+scales folded in the epilogue.
 """
 
 from __future__ import annotations
@@ -88,8 +79,6 @@ __all__ = [
     "int8_gemm_int32",
     "int8_gemm_int32_blocked",
     "INT8_BLOCK_K",
-    "available_int8_kernels",
-    "get_int8_kernel",
     "quantize_pipeline",
     "resolve_quantization",
 ]
@@ -124,13 +113,10 @@ class QuantizationConfig:
         (scales saturate quickly; keeping this small keeps
         ``compile_model(quantize=...)`` cheap).
     kernel:
-        Which int8 GEMM kernel dense quantized convs execute on:
-        ``"auto"`` (default — the fastest registered kernel, numba when
-        importable else the blocked-BLAS kernel), or an explicit
-        ``"blocked"`` / ``"numba"`` / ``"reference"`` / ``"float"``.
-        ``"float"`` restores the float-carried code GEMM (no int8
-        activation traffic). The ``REPRO_INT8_KERNEL`` environment
-        variable overrides this at compile time.
+        The GEMM datapath of dense quantized convs: ``"blocked"``
+        (default — the exact integer kernel on real int8 activation
+        buffers) or ``"float"`` (codes carried in float arrays, no int8
+        activation traffic; also what bits > 8 always run).
     """
 
     bits: int = 8
@@ -138,7 +124,7 @@ class QuantizationConfig:
     mode: str = "requantize"
     error_threshold: float = 0.1
     calibration_images: int = 8
-    kernel: str = "auto"
+    kernel: str = "blocked"
 
     def __post_init__(self) -> None:
         if self.bits < 2:
@@ -156,10 +142,9 @@ class QuantizationConfig:
             raise ValueError("error_threshold must be >= 0")
         if self.calibration_images < 1:
             raise ValueError("calibration_images must be >= 1")
-        if self.kernel not in ("auto", "blocked", "numba", "reference", "float"):
+        if self.kernel not in ("blocked", "float"):
             raise ValueError(
-                f"kernel must be 'auto', 'blocked', 'numba', 'reference' "
-                f"or 'float', got {self.kernel!r}"
+                f"kernel must be 'blocked' or 'float', got {self.kernel!r}"
             )
 
     @property
@@ -268,9 +253,8 @@ def int8_gemm_int32(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
     """Exact integer-dtype reference GEMM: ``a_codes @ b_codes`` in int32.
 
     ``np.matmul`` on integer dtypes bypasses BLAS and loops in C — far
-    too slow to serve with, which is exactly why the execution paths
-    carry codes in float arrays instead. Tests use this to prove the
-    float-carried accumulation is bit-identical to the int32 datapath.
+    too slow to serve with. It is the oracle the blocked kernel and the
+    float-carried accumulation are tested bit-identical against.
     """
     return np.matmul(
         np.asarray(a_codes, dtype=np.int32), np.asarray(b_codes, dtype=np.int32)
@@ -278,7 +262,7 @@ def int8_gemm_int32(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
-# The int8 GEMM kernel registry
+# The blocked int8 GEMM
 # ---------------------------------------------------------------------
 #: Largest K block whose int8-product partial sums stay float32-exact:
 #: |a*b| <= 127^2 = 16129 < 2^14, and 1024 * 16129 = 16_516_096 < 2^24,
@@ -348,89 +332,6 @@ def int8_gemm_int32_blocked(
         else:
             out += partial
     return out
-
-
-_NUMBA_KERNEL: Optional[object] = None
-_NUMBA_TRIED = False
-
-
-def _numba_int8_kernel():
-    """JIT-compile (once) the true-integer kernel, or None without numba."""
-    global _NUMBA_KERNEL, _NUMBA_TRIED
-    if _NUMBA_TRIED:
-        return _NUMBA_KERNEL
-    _NUMBA_TRIED = True
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    @numba.njit(cache=True)
-    def _kernel(a, b, out):  # pragma: no cover - compiled
-        n, k = a.shape
-        m = b.shape[1]
-        for i in range(n):
-            for j in range(m):
-                out[i, j] = 0.0
-            for p in range(k):
-                av = np.int32(a[i, p])
-                if av != 0:
-                    for j in range(m):
-                        out[i, j] += av * np.int32(b[p, j])
-        return out
-
-    _NUMBA_KERNEL = _kernel
-    return _NUMBA_KERNEL
-
-
-def int8_gemm_int32_numba(
-    a_codes: np.ndarray, b_codes: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """True int8 x int8 -> wide-accumulator GEMM (requires numba)."""
-    kernel = _numba_int8_kernel()
-    if kernel is None:  # registry guards against this; belt and braces
-        return int8_gemm_int32_blocked(a_codes, b_codes, out)
-    a_codes = np.ascontiguousarray(a_codes, dtype=np.int8)
-    b_codes = np.ascontiguousarray(b_codes, dtype=np.int8)
-    if out is None:
-        out = np.empty((a_codes.shape[0], b_codes.shape[1]), dtype=np.float64)
-    return kernel(a_codes, b_codes, out)
-
-
-def available_int8_kernels() -> Tuple[str, ...]:
-    """Registered kernel names, fastest-preferred order."""
-    names: List[str] = []
-    if _numba_int8_kernel() is not None:
-        names.append("numba")
-    names.extend(["blocked", "reference"])
-    return tuple(names)
-
-
-def get_int8_kernel(name: Optional[str] = None) -> str:
-    """Resolve an int8 kernel request to a concrete registered name.
-
-    ``None``/``"auto"`` picks the fastest available kernel (numba when
-    importable, else blocked). A ``"numba"`` request without numba
-    degrades gracefully to ``"blocked"`` — quantized serving must never
-    fail because an optional dependency is missing. The
-    ``REPRO_INT8_KERNEL`` environment variable, when set, wins over
-    ``name`` (the runtime escape hatch); unknown explicit names raise.
-    """
-    import os
-
-    env = os.environ.get("REPRO_INT8_KERNEL", "").strip().lower()
-    if env:
-        name = env
-    if name in (None, "", "auto"):
-        return available_int8_kernels()[0]
-    if name == "numba" and _numba_int8_kernel() is None:
-        return "blocked"
-    if name not in ("blocked", "numba", "reference", "float"):
-        raise ValueError(
-            f"unknown int8 kernel {name!r} "
-            f"(try 'auto', 'blocked', 'numba', 'reference' or 'float')"
-        )
-    return name
 
 
 # ---------------------------------------------------------------------
@@ -509,19 +410,24 @@ class QuantizeOp(_InferenceOp):
 
     domain_out = "codes"
 
-    def run(self, x, state, backend):
+    def bind(self, x, state):
         """Scale, round and clip the activation into code space."""
         out = state.arena.take(f"{self.tag}:out", x.shape, x.dtype)
-        np.multiply(x, 1.0 / self.scale, out=out)
-        np.clip(out, -self.qmax, self.qmax, out=out)
-        if not self.int8:
-            np.rint(out, out=out)
-            return out
-        codes = state.arena.take(f"{self.tag}:q8", x.shape, np.int8)
-        # Fused final pass: round in float, cast on store (clip keeps
-        # the values in int8 range, so the unsafe cast is exact).
-        np.rint(out, out=codes, casting="unsafe")
-        return codes
+        codes = None
+        if self.int8:
+            codes = state.arena.take(f"{self.tag}:q8", x.shape, np.int8)
+        inv, qmax = 1.0 / self.scale, self.qmax
+
+        def thunk(x_in):
+            np.multiply(x_in, inv, out=out)
+            np.clip(out, -qmax, qmax, out=out)
+            if codes is None:
+                return np.rint(out, out=out)
+            # Fused final pass: round in float, cast on store (clip keeps
+            # the values in int8 range, so the unsafe cast is exact).
+            return np.rint(out, out=codes, casting="unsafe")
+
+        return thunk
 
     def describe(self) -> str:
         """Human-readable op label for ``CompiledModel.describe``."""
@@ -539,7 +445,7 @@ class DequantizeOp(_InferenceOp):
 
     domain_out = "float"
 
-    def run(self, x, state, backend):
+    def bind(self, x, state):
         """Multiply codes by their scale, back into float activations."""
         if self.dtype is not None:
             out_dtype = np.dtype(self.dtype)
@@ -548,8 +454,12 @@ class DequantizeOp(_InferenceOp):
         else:  # int8-carried codes with no recorded carry dtype
             out_dtype = np.dtype(np.float32)
         out = state.arena.take(f"{self.tag}:out", x.shape, out_dtype)
-        np.multiply(x, self.scale, out=out)
-        return out
+        scale = self.scale
+
+        def thunk(x_in):
+            return np.multiply(x_in, scale, out=out)
+
+        return thunk
 
     def describe(self) -> str:
         """Human-readable op label for ``CompiledModel.describe``."""
@@ -560,17 +470,19 @@ class DequantizeOp(_InferenceOp):
 class QuantConvOp(ConvOp):
     """Channels-last convolution executed on int8 codes.
 
-    Subclasses :class:`~repro.runtime.compile.ConvOp` for its geometry
-    plumbing (plan lookup, slab sizing, padded-input reuse, halo
-    linking) and replaces the arithmetic: ``weight_t`` holds integer
-    weight codes (float-carried, bias folded in as an appended code-space
-    row against the column buffer's ones column), inputs are activation
-    codes at ``in_scale``, and the epilogue folds
+    Subclasses :class:`~repro.runtime.compile.ConvOp` and runs its
+    schedules (column GEMM, gather, bands, halo hand-off) unchanged;
+    it only swaps the arithmetic at the two ends. ``weight_t`` holds
+    integer weight codes (float-carried, bias folded in as an appended
+    code-space row against the column buffer's ones column), inputs are
+    activation codes at ``in_scale``, and :meth:`_epilogue` folds
     ``w_scale * in_scale`` back per output column. With ``out_scale``
     set the epilogue *requantizes* — rounds straight into the consumer's
     code space, the clip's lower bound doubling as the fused ReLU — so
     a chain of quantized convs never touches float activations; with
-    ``out_scale=None`` it dequantizes to float (region exit).
+    ``out_scale=None`` it dequantizes to float (region exit). With
+    ``int8_kernel="blocked"`` the GEMM operand (:meth:`_gemm_blocks`)
+    becomes the exact span-blocked integer operand.
 
     The int8 artifact (``codes_int8``, per-filter ``w_scale``, and for
     SPM layers only the non-zero sequence codes) is what the op *owns*;
@@ -583,13 +495,16 @@ class QuantConvOp(ConvOp):
     qmax: int = 127
     codes_int8: Optional[np.ndarray] = None  # storage-format weight codes
     bias_q: Optional[np.ndarray] = None  # (1, C_out) bias in code space
-    int8_kernel: Optional[str] = None  # dense GEMM kernel; None -> float-carried
+    int8_kernel: Optional[str] = None  # "blocked", or None for float-carried
     emit_int8: bool = False  # requantize straight into real int8 buffers
     _mult_cache: Optional[np.ndarray] = field(default=None, repr=False)
-    _w_q8: Optional[np.ndarray] = field(default=None, repr=False)
     _w_blocks: Optional[List[np.ndarray]] = field(default=None, repr=False)
     _w_spans: Optional[List[Tuple[int, int]]] = field(default=None, repr=False)
     _bias_folded: Optional[bool] = field(default=None, repr=False)
+
+    #: Columns above this size run in image bands, so each band's
+    #: requantize epilogue runs while its accumulator slice is cache-warm.
+    band_bytes = _INT8_BAND_BYTES
 
     @property
     def domain_out(self) -> str:
@@ -612,7 +527,7 @@ class QuantConvOp(ConvOp):
         return total
 
     def derived_nbytes(self) -> int:
-        total = _arr_nbytes(self._mult_cache, self._w_q8)
+        total = _arr_nbytes(self._mult_cache, self._grouped_t)
         if self._w_blocks is not None:
             total += sum(blk.nbytes for blk in self._w_blocks)
         if self.encoded is not None:
@@ -620,16 +535,16 @@ class QuantConvOp(ConvOp):
         return total
 
     def release_derived(self) -> int:
-        """Drop only the rebuildable state (multiplier cache, the int8
-        kernel's prepared GEMM operands, and the encoded layer's
-        memoized gather/grouped matrices); the int8 artifact stays —
+        """Drop only the rebuildable state (multiplier cache, the blocked
+        kernel's span operands, the grouped gather operand and the
+        encoded layer's memoized matrices); the int8 artifact stays —
         see :meth:`param_nbytes`."""
         freed = self.derived_nbytes()
         self._mult_cache = None
-        self._w_q8 = None
         self._w_blocks = None
         self._w_spans = None
         self._bias_folded = None
+        self._grouped_t = None
         if self.encoded is not None:
             self.encoded.invalidate_caches()
         return freed
@@ -643,491 +558,102 @@ class QuantConvOp(ConvOp):
             self._mult_cache = mult.astype(dtype)
         return self._mult_cache
 
-    def _fold_and_clip(self, mat: np.ndarray) -> None:
-        """Fold scales in place; clip into code space when requantizing.
+    # -- epilogue hooks -----------------------------------------------
+    def _out_dtype(self, acc_dtype) -> np.dtype:
+        """Real int8 while requantizing into an int8 pipeline, else the
+        float carry dtype (an int8 kernel's float64 accumulator never
+        leaks into the float tail)."""
+        if self.emit_int8 and self.out_scale is not None:
+            return np.dtype(np.int8)
+        if self.weight_t is not None:
+            return self.weight_t.dtype
+        return self.encoded.values.dtype
 
-        Clip-then-round equals round-then-clip here because the clip
-        bounds are integers, so callers can run the final rounding pass
-        separately — straight into a hand-off destination if they have
-        one. The clip's lower bound doubles as the fused ReLU.
+    def _epilogue(self, acc: np.ndarray, dest: np.ndarray) -> None:
+        """Code-space bias (unless the GEMM operand carries it), scale
+        fold, then requantize — or dequantize, with the ReLU.
+
+        Clip-then-round equals round-then-clip because the clip bounds
+        are integers; the final ufunc rounds in float and casts each
+        element on store, exact for an int8 ``dest`` because the values
+        are integers within ``[-qmax, qmax]``.
         """
-        mat *= self._multiplier(mat.dtype)
+        if self.bias_q is not None and not self._bias_folded:
+            np.add(acc, self.bias_q, out=acc)
+        np.multiply(acc, self._multiplier(acc.dtype), out=acc)
         if self.out_scale is not None:
-            np.clip(mat, 0.0 if self.relu else -self.qmax, self.qmax, out=mat)
-
-    def _requant(self, mat: np.ndarray) -> np.ndarray:
-        """Slab-path epilogue: fold scales, then round (or ReLU) in place."""
-        self._fold_and_clip(mat)
-        if self.out_scale is not None:
-            np.rint(mat, out=mat)
+            np.clip(acc, 0.0 if self.relu else -self.qmax, self.qmax, out=acc)
+            np.rint(acc, out=dest, casting="unsafe")
         elif self.relu:
-            np.maximum(mat, 0.0, out=mat)
-        return mat
+            np.maximum(acc, 0.0, out=dest)
+        elif dest is not acc:
+            np.copyto(dest, acc, casting="same_kind")
 
-    def _emits_int8(self) -> bool:
-        """Whether this conv's requantizing epilogue writes real int8."""
-        return self.emit_int8 and self.out_scale is not None
+    # -- blocked integer GEMM operand ---------------------------------
+    def _gemm_blocks(self):
+        """Span-blocked int8 operand for the ``"blocked"`` kernel.
 
-    def _finish(self, out4: np.ndarray, arena: Arena) -> np.ndarray:
-        """Monolithic-path epilogue: requantize + consumer hand-off.
-
-        Same arithmetic as :meth:`_requant`, but with a halo consumer
-        the final pass (rounding, or the dequant ReLU) writes directly
-        into the consumer's padded-buffer interior, so the hand-off
-        costs no extra copy. When the pipeline carries int8 codes the
-        destination (halo interior or this op's own code buffer) is a
-        real int8 array; the rounded accumulator casts into it exactly,
-        because requantized values are integers within [-qmax, qmax].
-        """
-        int8_out = self._emits_int8()
-        carry = (
-            self.weight_t.dtype
-            if self.weight_t is not None
-            else self.encoded.values.dtype
-        )
-        dest_dtype = np.dtype(np.int8) if int8_out else np.dtype(carry)
-        interior = None
-        if self.halo is not None:
-            consumer_tag, p = self.halo
-            n, oh, ow, c = out4.shape
-            buffer = arena.take_filled(
-                f"{consumer_tag}:pad", (n, oh + 2 * p, ow + 2 * p, c), dest_dtype, 0.0
-            )
-            interior = buffer[:, p : p + oh, p : p + ow, :]
-        self._fold_and_clip(out4)
-        if self.out_scale is not None:
-            if not int8_out:
-                dest = interior if interior is not None else out4
-                np.rint(out4, out=dest)
-                return dest
-            if interior is None:
-                interior = arena.take(f"{self.tag}:q8", out4.shape, np.int8)
-            # One fused pass: the ufunc rounds in float and casts each
-            # element into the int8 destination on store (the clip above
-            # guarantees the values are in range, so the unsafe cast is
-            # exact).
-            np.rint(out4, out=interior, casting="unsafe")
-            return interior
-        if interior is not None:
-            if self.relu:
-                np.maximum(out4, 0.0, out=interior)
-            else:
-                np.copyto(interior, out4)
-            return interior
-        if out4.dtype != dest_dtype:  # int8 kernel's f64 accumulator at a
-            # region exit: hand back activations in the pipeline's carry
-            # dtype rather than leaking float64 into the float tail.
-            outf = arena.take(f"{self.tag}:outf", out4.shape, dest_dtype)
-            if self.relu:
-                np.maximum(out4, 0.0, out=outf)
-            else:
-                np.copyto(outf, out4)
-            return outf
-        if self.relu:
-            np.maximum(out4, 0.0, out=out4)
-        return out4
-
-    def run(self, x, state, backend):
-        """Execute on activation codes (no engine backend overrides —
-        the quantized lowering is the backend)."""
-        if backend or self.backend:
-            raise ValueError(
-                "quantized compiled pipelines do not support conv backend "
-                "overrides; compile without quantize= to force a backend"
-            )
-        if self.use_gather:
-            return self._run_gather_q(x, state)
-        if self.int8_kernel:
-            thunk = self._int8_thunk(x, state)
-            if thunk is not None:
-                return thunk(x)
-        return self._run_dense_q(x, state)
-
-    def make_thunk(self, x, state):
-        """Trace-executor closure; the int8 kernel path binds its own."""
-        if self.use_gather:
-            return None  # generic dispatch wraps _run_gather_q
-        if self.int8_kernel:
-            return self._int8_thunk(x, state)
-        return super().make_thunk(x, state)
-
-    # -- true-integer dense path --------------------------------------
-    def _int8_operands(self) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Derived GEMM operands for the int8 kernels (rebuildable from
-        the owned artifact, so they count as derived state).
-
-        Builds the ``(K, C_out)`` int8 weight matrix, then sizes the
-        K spans by the *value-aware* exactness certificate: activations
-        are clipped to ``[-qmax, qmax]``, so every partial sum inside a
-        span is bounded by ``qmax * max_j sum_i |w_ij|`` over the span's
-        actual weight codes — the span may grow until that bound (plus
-        the folded bias code, which joins the same accumulation) reaches
-        float32's exact-integer range. In practice this collapses most
-        layers to a single span, which accumulates in float32 with no
-        staging at all; the worst-case ``INT8_BLOCK_K`` bound is only
-        the certificate's floor. With the blocked kernel the integer
-        bias codes fold into the last span's operand as an extra row
-        against the column buffer's ones column, so bias costs no
+        Sizes the K spans by the *value-aware* exactness certificate:
+        activations are clipped to ``[-qmax, qmax]``, so every partial
+        sum inside a span is bounded by ``qmax * max_j sum_i |w_ij|``
+        over the span's actual weight codes — the span may grow until
+        that bound (plus the folded bias code, which joins the same
+        accumulation) reaches float32's exact-integer range. In practice
+        this collapses most layers to a single span, which accumulates
+        in float32 with no staging at all; the worst-case
+        ``INT8_BLOCK_K`` bound is only the certificate's floor. The
+        integer bias codes fold into the last span's operand as an extra
+        row against the column buffer's ones column, so bias costs no
         separate pass over the accumulator.
         """
-        if self._w_q8 is not None and self._w_blocks is not None:
-            return self._w_q8, self._w_blocks
-        with _derive_lock:
-            if self._w_q8 is None:
-                k = self.kernel[0] * self.kernel[1] * self.c_in
-                if self.weight_t is not None:
-                    w = self.weight_t[: self.weight_t.shape[0] - self.bias_rows]
-                else:  # decoded SPM codes never materialised a float operand
-                    w = self._decoded_weight_t()[:k]
-                self._w_q8 = np.ascontiguousarray(np.rint(w), dtype=np.int8)
-            if self._w_blocks is None:
-                w = self._w_q8
-                k = w.shape[0]
-                limit = float(2**24 - 1)
-                qmax = float(self.qmax)
+        if not self.int8_kernel:
+            return super()._gemm_blocks()
+        if self._w_blocks is None:
+            with _derive_lock:
+                if self._w_blocks is None:
+                    self._build_int8_blocks()
+        return self._w_spans, self._w_blocks, int(self._bias_folded)
+
+    def _build_int8_blocks(self) -> None:
+        k = self.weight_t.shape[0] - self.bias_rows
+        w = np.rint(self.weight_t[:k]).astype(np.int8)
+        limit = float(2**24 - 1)
+        qmax = float(self.qmax)
+        head = 0.0
+        folding = self.bias_q is not None
+        if folding:
+            head = float(np.max(np.abs(self.bias_q)))
+            if qmax * 127.0 + head > limit:  # bias codes too large to
+                folding = False  # join the exact accumulation
                 head = 0.0
-                folding = self.int8_kernel == "blocked" and self.bias_q is not None
-                if folding:
-                    head = float(np.max(np.abs(self.bias_q)))
-                    if qmax * 127.0 + head > limit:  # bias codes too large to
-                        folding = False  # join the exact accumulation
-                        head = 0.0
-                # cum[i] = per-channel L1 of the first i weight rows.
-                cum = np.zeros((k + 1, w.shape[1]), dtype=np.int64)
-                np.cumsum(np.abs(w.astype(np.int64)), axis=0, out=cum[1:])
-                spans: List[Tuple[int, int]] = []
-                start = 0
-                while start < k:
-                    lo, hi, best = start + 1, k, start + 1
-                    while lo <= hi:
-                        mid = (lo + hi) // 2
-                        bound = qmax * float((cum[mid] - cum[start]).max()) + head
-                        if bound <= limit:
-                            best, lo = mid, mid + 1
-                        else:
-                            hi = mid - 1
-                    spans.append((start, best))
-                    start = best
-                blocks = []
-                for i, (k0, k1) in enumerate(spans):
-                    blk = np.ascontiguousarray(w[k0:k1], dtype=np.float32)
-                    if folding and i == len(spans) - 1:
-                        blk = np.ascontiguousarray(
-                            np.vstack([blk, self.bias_q.astype(np.float32)])
-                        )
-                    blocks.append(blk)
-                # Blocks last: the unlocked fast path keys on them.
-                self._w_spans = spans
-                self._bias_folded = folding
-                self._w_blocks = blocks
-        return self._w_q8, self._w_blocks
-
-    def _int8_thunk(self, x, state):
-        """Prebound int8-kernel executor for ``x``'s geometry.
-
-        The activation hand-off stays int8 (one-byte pad buffers, pool
-        and ReLU traffic); the registry kernel's GEMM accumulates exact
-        int32 values in float, code-space bias adds post-accumulation,
-        then :meth:`_finish` requantizes into the consumer's int8
-        buffer. The blocked kernel reads float32 columns cast straight
-        off the int8 buffers by the im2col strided copy — no separate
-        staging pass — and a single-K-block problem (``K <= 1024``, the
-        large-spatial layers) accumulates in float32, exact by the same
-        ``2^24`` bound. One closure serves both :meth:`run` (built and
-        invoked per call) and the trace executor (recorded once,
-        replayed). When the float32 columns outgrow the slab budget the
-        blocked kernel row-bands the im2col + GEMM over the same int8
-        pad buffer instead of abandoning the integer path; only the
-        numba/reference kernels (whose columns must stay int8) fall
-        back to generic dispatch on slab-looped geometries.
-        """
-        from ..nn.functional import im2col_nhwc
-
-        arena = state.arena
-        plan = self._plan(x, state)
-        n = plan.batch
-        kh, kw = self.kernel
-        oh, ow = plan.out_hw
-        k = kh * kw * self.c_in
-        kernel_name = self.int8_kernel
-        blocked = kernel_name == "blocked"
-        cols_dtype = np.dtype(np.float32) if blocked else np.dtype(np.int8)
-        rows = self._slab_rows(plan, n * ow * k, cols_dtype.itemsize)
-        if rows < oh and not blocked:
-            return None
-        w_q8, w_blocks = self._int8_operands()
-        spans = self._w_spans
-        folded = blocked and bool(self._bias_folded)
-        extra = 1 if folded else 0  # the ones column driving the bias row
-        single = blocked and len(spans) == 1
-        acc_dtype = np.float32 if single else np.float64
-        acc = arena.take(f"{self.tag}:acc", (n * oh * ow, self.c_out), acc_dtype)
-        acc4 = acc.reshape(n, oh, ow, self.c_out)
-        kernel, stride = self.kernel, self.stride
-        c_out = self.c_out
-        last = len(spans) - 1
-
-        def span_gemm(a_cols, out_mat, partial_mat):
-            for i, (k0, k1) in enumerate(spans):
-                a_blk = a_cols[:, k0 : k1 + extra] if i == last else a_cols[:, k0:k1]
-                np.matmul(a_blk, w_blocks[i], out=partial_mat)
-                if i == 0:
-                    out_mat[...] = partial_mat
+        # cum[i] = per-channel L1 of the first i weight rows.
+        cum = np.zeros((k + 1, w.shape[1]), dtype=np.int64)
+        np.cumsum(np.abs(w), axis=0, dtype=np.int64, out=cum[1:])
+        spans: List[Tuple[int, int]] = []
+        start = 0
+        while start < k:
+            lo, hi, best = start + 1, k, start + 1
+            while lo <= hi:
+                mid = (lo + hi) // 2
+                bound = qmax * float((cum[mid] - cum[start]).max()) + head
+                if bound <= limit:
+                    best, lo = mid, mid + 1
                 else:
-                    out_mat += partial_mat
-
-        cols_bytes = n * oh * ow * (k + extra) * cols_dtype.itemsize
-        fused = None
-        if blocked and n > 1 and cols_bytes > _INT8_BAND_BYTES:
-            # Image-banded blocked path: im2col + GEMM run per batch
-            # sub-range sized to keep the band's working set cache-warm
-            # (and inside the slab budget). An image band's accumulator
-            # rows are contiguous, so each band GEMM writes straight
-            # into the accumulator — no tile copy. When this conv
-            # requantizes, the epilogue (scale fold, clip, fused
-            # round-and-cast into the consumer's int8 buffer) runs per
-            # band too, while the band's accumulator is still hot.
-            from .compile import SLAB_BYTES
-
-            budget_bytes = SLAB_BYTES if self.slab_bytes is None else self.slab_bytes
-            budget = min(budget_bytes, _INT8_BAND_BYTES) // 4
-            imgs = max(1, budget // (oh * ow * (k + extra)))
-            imgs = -(-n // (-(-n // imgs)))  # balance the band sizes
-            band_cols = arena.take_filled(
-                f"{self.tag}:cols", (imgs * oh * ow, k + extra), np.float32, 1.0
-            )
-            partial = (
-                None
-                if single
-                else arena.take(f"{self.tag}:pp", (imgs * oh * ow, c_out), np.float32)
-            )
-            finish_band = None
-            if self._emits_int8() and (self.bias_q is None or folded):
-                if self.halo is not None:
-                    consumer_tag, hp = self.halo
-                    halo_buf = arena.take_filled(
-                        f"{consumer_tag}:pad",
-                        (n, oh + 2 * hp, ow + 2 * hp, c_out),
-                        np.int8,
-                        0.0,
-                    )
-                    dest4 = halo_buf[:, hp : hp + oh, hp : hp + ow, :]
-                else:
-                    dest4 = arena.take(f"{self.tag}:q8", (n, oh, ow, c_out), np.int8)
-                mult = self._multiplier(acc.dtype)
-                lo = 0.0 if self.relu else float(-self.qmax)
-                hi = float(self.qmax)
-
-                def finish_band(i0, i1):
-                    band = acc4[i0:i1]
-                    np.multiply(band, mult, out=band)
-                    np.clip(band, lo, hi, out=band)
-                    np.rint(band, out=dest4[i0:i1], casting="unsafe")
-
-                fused = dest4
-
-            def compute(src):
-                for i0 in range(0, n, imgs):
-                    i1 = min(i0 + imgs, n)
-                    bc = band_cols[: (i1 - i0) * oh * ow]
-                    im2col_nhwc(src[i0:i1], kernel, stride, out=bc[:, :k])
-                    band_acc = acc[i0 * oh * ow : i1 * oh * ow]
-                    if single:
-                        np.matmul(bc, w_blocks[0], out=band_acc)
-                    else:
-                        span_gemm(bc, band_acc, partial[: len(bc)])
-                    if finish_band is not None:
-                        finish_band(i0, i1)
-
-        elif rows < oh:
-            # Single-image fallback: row bands through a band tile.
-            band_cols = arena.take_filled(
-                f"{self.tag}:cols", (n * rows * ow, k + extra), np.float32, 1.0
-            )
-            tile = arena.take(f"{self.tag}:tile", (n * rows * ow, c_out), acc_dtype)
-            partial = (
-                None
-                if single
-                else arena.take(f"{self.tag}:pp", (n * rows * ow, c_out), np.float32)
-            )
-
-            def compute(src):
-                for r0 in range(0, oh, rows):
-                    r1 = min(r0 + rows, oh)
-                    src_band = src[:, r0 * stride : (r1 - 1) * stride + kh, :, :]
-                    bc = band_cols[: n * (r1 - r0) * ow]
-                    im2col_nhwc(src_band, kernel, stride, out=bc[:, :k])
-                    bt = tile[: len(bc)]
-                    if single:
-                        np.matmul(bc, w_blocks[0], out=bt)
-                    else:
-                        span_gemm(bc, bt, partial[: len(bc)])
-                    acc4[:, r0:r1] = bt.reshape(n, r1 - r0, ow, c_out)
-
-        else:
-            cols = arena.take_filled(
-                f"{self.tag}:cols", (n * oh * ow, k + extra), cols_dtype, 1.0
-            )
-            cols_k = cols[:, :k]
-            if blocked:
-                if single:
-
-                    def gemm():
-                        np.matmul(cols, w_blocks[0], out=acc)
-
-                else:
-                    partial = arena.take(
-                        f"{self.tag}:pp", (n * oh * ow, c_out), np.float32
-                    )
-
-                    def gemm():
-                        span_gemm(cols, acc, partial)
-
-            elif kernel_name == "numba":
-
-                def gemm():
-                    int8_gemm_int32_numba(cols, w_q8, acc)
-
-            else:  # "reference": exact integer dtypes, reference-grade speed
-
-                def gemm():
-                    acc[...] = int8_gemm_int32(cols, w_q8)
-
-            def compute(src):
-                im2col_nhwc(src, kernel, stride, out=cols_k)
-                gemm()
-
-        bias = None if folded else self.bias_q
-        p = self.padding
-        if p > 0:
-            h, w = x.shape[1], x.shape[2]
-            pad = arena.take_filled(
-                f"{self.tag}:pad", (n, h + 2 * p, w + 2 * p, self.c_in), np.int8, 0.0
-            )
-            interior = pad[:, p : p + h, p : p + w, :]
-
-            if fused is not None:
-
-                def thunk(x_in):
-                    if x_in.base is not pad:
-                        interior[...] = x_in
-                    compute(pad)
-                    return fused
-
-            else:
-
-                def thunk(x_in):
-                    if x_in.base is not pad:
-                        interior[...] = x_in
-                    compute(pad)
-                    if bias is not None:
-                        np.add(acc, bias, out=acc)
-                    return self._finish(acc4, arena)
-
-        elif fused is not None:
-
-            def thunk(x_in):
-                compute(x_in)
-                return fused
-
-        else:
-
-            def thunk(x_in):
-                compute(x_in)
-                if bias is not None:
-                    np.add(acc, bias, out=acc)
-                return self._finish(acc4, arena)
-
-        return thunk
-
-    def _run_dense_q(self, x, state):
-        from ..nn.functional import im2col_nhwc
-
-        arena = state.arena
-        plan = self._plan(x, state)
-        n = plan.batch
-        kh, kw = self.kernel
-        oh, ow = plan.out_hw
-        k = kh * kw * self.c_in
-        gemm_dtype = np.result_type(x.dtype, self.weight_t.dtype)
-        xp = self._padded_input(x, arena)
-        out = arena.take(f"{self.tag}:out", (n, oh, ow, self.c_out), gemm_dtype)
-        rows = self._slab_rows(plan, n * ow * (k + self.bias_rows), x.dtype.itemsize)
-        if rows >= oh:
-            cols = arena.take_filled(
-                f"{self.tag}:cols", (n * oh * ow, k + self.bias_rows), x.dtype, 1.0
-            )
-            im2col_nhwc(xp, self.kernel, self.stride, out=cols[:, :k])
-            out_mat = out.reshape(n * oh * ow, self.c_out)
-            np.matmul(cols, self.weight_t, out=out_mat)
-            if self.bias_q is not None and not self.bias_rows:
-                np.add(out_mat, self.bias_q, out=out_mat)
-            return self._finish(out, arena)
-        q_out = None
-        if self._emits_int8():  # slab epilogue hands off integer codes
-            q_out = arena.take(f"{self.tag}:q8", out.shape, np.int8)
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            x_slab = xp[:, r0 * self.stride : (r1 - 1) * self.stride + kh, :, :]
-            cols = arena.take_filled(
-                f"{self.tag}:cols",
-                (n * (r1 - r0) * ow, k + self.bias_rows),
-                x.dtype,
-                1.0,
-            )
-            im2col_nhwc(x_slab, self.kernel, self.stride, out=cols[:, :k])
-            tile = arena.take(f"{self.tag}:tile", (len(cols), self.c_out), gemm_dtype)
-            np.matmul(cols, self.weight_t, out=tile)
-            if self.bias_q is not None and not self.bias_rows:
-                np.add(tile, self.bias_q, out=tile)
-            self._requant(tile)
-            dest = out if q_out is None else q_out
-            dest[:, r0:r1] = tile.reshape(n, r1 - r0, ow, self.c_out)
-        return out if q_out is None else q_out
-
-    def _run_gather_q(self, x, state):
-        from ..nn.functional import im2col_nhwc
-
-        arena = state.arena
-        plan = self._plan(x, state)
-        n = plan.batch
-        kh, kw = self.kernel
-        k2 = kh * kw
-        oh, ow = plan.out_hw
-        # self.encoded carries the CODE values, so the memoized gather
-        # plan / grouped matrix machinery serves the int8 path untouched.
-        gather = self.encoded.gather_plan()
-        grouped = self.encoded.grouped_weight_matrix()
-        gemm_dtype = np.result_type(x.dtype, grouped.dtype)
-        if gemm_dtype.kind != "f":  # int8-carried codes meet float grouped ops
-            gemm_dtype = np.dtype(grouped.dtype)
-        xp = self._padded_input(x, arena)
-        out_dtype = np.dtype(np.int8) if self._emits_int8() else gemm_dtype
-        out = arena.take(f"{self.tag}:out", (n, oh, ow, self.c_out), out_dtype)
-        per_row = n * ow * max(k2 * self.c_in, grouped.shape[0])
-        rows = self._slab_rows(plan, per_row, x.dtype.itemsize)
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            x_slab = xp[:, r0 * self.stride : (r1 - 1) * self.stride + kh, :, :]
-            cols, _ = im2col_nhwc(
-                x_slab,
-                self.kernel,
-                self.stride,
-                out=arena.take(
-                    f"{self.tag}:cols", (n * (r1 - r0) * ow, k2 * self.c_in), x.dtype
-                ),
-            )
-            cols_r = cols.reshape(-1, k2, self.c_in)
-            gathered = cols_r[:, gather.positions_by_code, :]
-            a_mat = gathered.transpose(0, 1, 3, 2).reshape(len(cols_r), -1)
-            if a_mat.dtype != gemm_dtype:
-                a_mat = a_mat.astype(gemm_dtype)
-            tile = a_mat @ grouped
-            if self.bias_q is not None:
-                tile += self.bias_q.astype(tile.dtype, copy=False)
-            self._requant(tile)
-            out[:, r0:r1] = tile.reshape(n, r1 - r0, ow, self.c_out)
-        return out
+                    hi = mid - 1
+            spans.append((start, best))
+            start = best
+        blocks = []
+        for i, (k0, k1) in enumerate(spans):
+            blk = np.ascontiguousarray(w[k0:k1], dtype=np.float32)
+            if folding and i == len(spans) - 1:
+                blk = np.ascontiguousarray(
+                    np.vstack([blk, self.bias_q.astype(np.float32)])
+                )
+            blocks.append(blk)
+        # Blocks last: the unlocked fast path keys on them.
+        self._w_spans = spans
+        self._bias_folded = folding
+        self._w_blocks = blocks
 
     def describe(self) -> str:
         """Human-readable op label, e.g. ``qconv[blocked]+bias+relu->int8``."""
@@ -1144,8 +670,8 @@ class QuantConvOp(ConvOp):
 
     def schedule_kind(self) -> str:
         """Per-layer schedule annotation, suffixed with the GEMM datapath:
-        ``+int8:<kernel>`` for the true-integer kernels, ``+int8:float``
-        for float-carried codes."""
+        ``+int8:blocked`` for the integer kernel, ``+int8:float`` for
+        float-carried codes."""
         base = super().schedule_kind()
         return f"{base}+int8:{self.int8_kernel or 'float'}"
 
@@ -1214,7 +740,7 @@ def _calibrate_edges(
     cur = x
     for op in ops:
         edges.append(float(np.abs(cur).max()) if cur.size else 0.0)
-        cur = op.run(cur, state, None)
+        cur = op.run(cur, state)
     edges.append(float(np.abs(cur).max()) if cur.size else 0.0)
     return edges
 
@@ -1238,8 +764,6 @@ def _assess(op: _InferenceOp, config: QuantizationConfig) -> _LayerQuant:
     """
     if not isinstance(op, ConvOp) or isinstance(op, QuantConvOp):
         return _LayerQuant(False, "not a conv", 0.0)
-    if op.backend is not None:
-        return _LayerQuant(False, "forced backend", 0.0)
     op.prepare()  # codes quantize from the (folded, cast) GEMM operand
     if op.encoded is not None:
         codes, scales, error = quantize_encoded_values(op.encoded, config)
@@ -1350,7 +874,6 @@ def _quantize_conv(
         relu=op.relu,
         stride=op.stride,
         padding=op.padding,
-        backend=None,
         kernel=op.kernel,
         c_in=op.c_in,
         c_out=op.c_out,
@@ -1396,13 +919,10 @@ def quantize_pipeline(
     calibration = calibration[: config.calibration_images]
     edges = _calibrate_edges(ops, calibration, dtype)
     qmax = config.qmax
-    # Resolve the GEMM datapath once for the whole pipeline: int8 codes
-    # only fit the int8 kernels at <= 8 bits (wider codes fall back to
-    # the float-carried GEMM, which is exact for them in float64).
-    if config.bits <= 8:
-        kernel = get_int8_kernel(None if config.kernel == "auto" else config.kernel)
-    else:
-        kernel = "float"
+    # One GEMM datapath for the whole pipeline: int8 codes only fit the
+    # blocked kernel at <= 8 bits (wider codes take the float-carried
+    # GEMM, which is exact for them in float64).
+    kernel = config.kernel if config.bits <= 8 else "float"
     kernel_name = None if kernel == "float" else kernel
     carry_dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
 

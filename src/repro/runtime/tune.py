@@ -426,7 +426,6 @@ def _candidate_modes(op, geometry: dict) -> List[str]:
             stride=op.stride,
             out_hw=geometry["out_hw"],
             c_in=op.c_in,
-            backend=op.backend,
             use_gather=False,  # winograd replaces the decoded dense GEMM
         )
     ]
@@ -519,8 +518,10 @@ def _measure_layer_ips(op, geometry: dict, dtype, batch: int = _MEASURE_BATCH) -
     """Time one candidate conv op on a synthetic NHWC input.
 
     Fresh arena and plan cache per candidate (so nothing leaks between
-    them), one warm-up run, then best-of-``_MEASURE_REPEATS`` — best
-    rather than mean because scheduler noise only ever adds time.
+    them); the op binds once — the same thunk a compiled forward
+    replays — and the bind's own first call is the warm-up. Then
+    best-of-``_MEASURE_REPEATS`` replays — best rather than mean because
+    scheduler noise only ever adds time.
     Probes run at the tuning batch, not at 1: schedules whose fixed
     overhead amortises over the batch (Winograd transforms, gather
     grouping) would otherwise lose probes they win at serving batches.
@@ -534,12 +535,12 @@ def _measure_layer_ips(op, geometry: dict, dtype, batch: int = _MEASURE_BATCH) -
     x = rng.standard_normal((batch, ih, iw, op.c_in)).astype(
         np.dtype(dtype) if dtype is not None else np.float64
     )
-    state = _ExecState(arena=Arena(), plans=PlanCache())
-    op.run(x, state, None)  # warm: plans, arena buffers, memoized gathers
+    thunk = op.bind(x, _ExecState(arena=Arena(), plans=PlanCache()))
+    thunk(x)  # warm: first touch of the arena buffers and operands
     best = float("inf")
     for _ in range(_MEASURE_REPEATS):
         start = time.perf_counter()
-        op.run(x, state, None)
+        thunk(x)
         best = min(best, time.perf_counter() - start)
     return batch / best if best > 0 else float("inf")
 
@@ -547,11 +548,12 @@ def _measure_layer_ips(op, geometry: dict, dtype, batch: int = _MEASURE_BATCH) -
 def _measure_chunk_ips(ops: List[object], input_shape, dtype, batch: int, chunk: int) -> float:
     """Whole-pipeline throughput at one micro-batch chunk size.
 
-    One warm-up (plans + arena buffers for this chunk geometry), then
-    best-of-two timed runs — noise only ever adds time.
+    Each chunk geometry binds once, as a compiled forward does (the
+    bind doubles as the warm-up), then best-of-two timed replays —
+    noise only ever adds time.
     """
     from .arena import Arena
-    from .compile import _ExecState
+    from .compile import _bind_chain, _ExecState, _replay
     from .plan import PlanCache
 
     rng = np.random.default_rng(0)
@@ -559,18 +561,16 @@ def _measure_chunk_ips(ops: List[object], input_shape, dtype, batch: int, chunk:
         np.dtype(dtype) if dtype is not None else np.float64
     )
     state = _ExecState(arena=Arena(), plans=PlanCache())
-
-    def run_once() -> None:
-        for lo in range(0, batch, chunk):
-            cur = x[lo : lo + chunk]
-            for op in ops:
-                cur = op.run(cur, state, None)
-
-    run_once()  # warm-up
+    chunks = [x[lo : lo + chunk] for lo in range(0, batch, chunk)]
+    traces = {}
+    for part in chunks:
+        if part.shape not in traces:
+            traces[part.shape], _ = _bind_chain(ops, part, state)
     best = float("inf")
     for _ in range(2):
         start = time.perf_counter()
-        run_once()
+        for part in chunks:
+            _replay(traces[part.shape], part)
         best = min(best, time.perf_counter() - start)
     return batch / best if best > 0 else float("inf")
 
@@ -661,7 +661,7 @@ def _record_conv_shapes(ops: List[object], x: np.ndarray, state) -> Dict[int, Tu
                 continue
             if isinstance(op, ConvOp):
                 shapes[id(op)] = (cur.shape[1], cur.shape[2])  # NHWC
-            cur = op.run(cur, state, None)
+            cur = op.run(cur, state)
         return cur
 
     walk(ops, x)
@@ -712,8 +712,6 @@ def tune_graph(graph, ctx) -> TuningReport:
         op = node.op
         if not isinstance(op, ConvOp) or isinstance(op, QuantConvOp):
             continue
-        if op.backend is not None:
-            continue  # an explicit backend override outranks tuning
         in_hw = shapes.get(id(op))
         if in_hw is None:  # unreached op (should not happen)
             continue
@@ -731,7 +729,6 @@ def tune_graph(graph, ctx) -> TuningReport:
                     stride=op.stride,
                     out_hw=geometry["out_hw"],
                     c_in=op.c_in,
-                    backend=op.backend,
                     use_gather=op.use_gather,
                 ),
             )

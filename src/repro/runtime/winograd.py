@@ -30,7 +30,7 @@ the output needs.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -134,20 +134,19 @@ def eligible_tiles(
     stride: int,
     out_hw: Tuple[int, int],
     c_in: int,
-    backend: Optional[str] = None,
     use_gather: bool = False,
 ) -> Tuple[int, ...]:
     """Tile sizes a conv layer may legally run under, best-first.
 
     Legality only — profitability is the cost model's and the tune
     pass's job.  Gather-scheduled convs keep their grouped GEMM (the SPM
-    pattern structure does not survive the Winograd domain), explicit
-    engine-backend overrides are honoured, and a tile is only offered
-    when the output is large enough that at least one full tile exists.
+    pattern structure does not survive the Winograd domain), and a tile
+    is only offered when the output is large enough that at least one
+    full tile exists.
     """
     if tuple(kernel) != (3, 3) or stride != 1:
         return ()
-    if backend or use_gather:
+    if use_gather:
         return ()
     if c_in < 1 or min(out_hw) < 1:
         return ()

@@ -113,11 +113,9 @@ class ServedModel:
             **self.meta,
         }
         if self.compiled is not None:
-            # Computed per request, not at load time: executor mode can
-            # flip live (REPRO_TRACE) and winograd-auto tiles resolve on
-            # the first real flush — so /models answers "which fast
-            # paths is this tenant actually on" with current state.
-            row["executor"] = self.compiled.executor_kind()
+            # Computed per request, not at load time: winograd-auto tiles
+            # resolve on the first real flush — so /models answers "which
+            # fast paths is this tenant actually on" with current state.
             row["schedules"] = self.compiled.schedule_summary()
         return row
 

@@ -95,15 +95,44 @@ class TestCompiledEquivalence:
         spm_ops = [op for op in compiled.ops if getattr(op, "encoded", None) is not None]
         assert spm_ops and not any(op.use_gather for op in spm_ops)
 
-    def test_forced_backend_matches(self):
+    @pytest.mark.parametrize("quantize", [None, "int8"], ids=["float", "int8"])
+    def test_backend_override_rejected_on_compiled_calls(self, quantize):
+        """backend= is eager-only: every compiled call rejects it up
+        front with a typed error instead of running something else."""
         model = _pruned(MODELS["simplecnn"](), 2)
         x = np.random.default_rng(6).normal(size=(2, 3, 12, 12))
-        reference = runtime.predict(model, x)
-        compiled = runtime.compile_model(model)
-        for backend in ("dense", "tiled", "pattern"):
-            np.testing.assert_allclose(
-                compiled(x, backend=backend), reference, rtol=1e-4, atol=1e-5
+        compiled = runtime.compile_model(model, quantize=quantize, calibration=x)
+        with pytest.raises(ValueError, match="eager-only"):
+            runtime.predict(compiled, x, backend="tiled")
+        with pytest.raises(ValueError, match="eager-only"):
+            runtime.predict(
+                model, x, compile=True, quantize=quantize, backend="dense"
             )
+        with pytest.raises(TypeError):
+            compiled(x, backend="tiled")
+        # The eager model still honours it.
+        np.testing.assert_allclose(
+            runtime.predict(model, x, backend="tiled"),
+            runtime.predict(model, x),
+            rtol=1e-9,
+            atol=1e-12,
+        )
+
+    def test_pinned_backend_conv_lowers_to_module_op(self):
+        """A Conv2d pinned to an engine backend keeps its pin through
+        a visible ModuleOp, and the pipeline still matches eager."""
+        model = _pruned(MODELS["simplecnn"](), 2)
+        x = np.random.default_rng(6).normal(size=(2, 3, 12, 12))
+        conv = next(m for m in model.modules() if isinstance(m, nn.Conv2d))
+        conv.backend = "pattern"
+        try:
+            reference = runtime.predict(model, x)
+            compiled = runtime.compile_model(model)
+            assert "module:Conv2d" in compiled.describe()
+            assert [type(op).__name__ for op in compiled.ops].count("ModuleOp") == 1
+            np.testing.assert_allclose(compiled(x), reference, rtol=1e-4, atol=1e-5)
+        finally:
+            conv.backend = None
 
     def test_features_only_model_keeps_nchw_layout(self):
         from repro.models.vgg import VGG16

@@ -10,8 +10,9 @@ handful of fixtures:
   integer GEMM — including ragged K tails around ``INT8_BLOCK_K``,
   ``k == 0`` and empty batches — which is the exactness certificate the
   int8 serving path rests on;
-- the trace executor replays exactly what per-op dispatch computes,
-  across shape changes mid-stream;
+- a compiled forward's first call (bind) and its replays are
+  bit-identical and match eager within the per-domain tolerance, for
+  every op and schedule;
 - measured tuning never persists a schedule that did not beat the
   static default by the noise margin.
 """
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import runtime
+from repro import nn, runtime
 from repro.core import (
     PCNNConfig,
     PCNNPruner,
@@ -180,51 +181,131 @@ class TestInt8KernelExactness:
         assert np.array_equal(out.astype(np.int64), int8_gemm_int32(a, b))
 
 
-class TestTraceExecutor:
-    """Thunk replay computes exactly what per-op dispatch computes."""
+class _Doubler(nn.Module):
+    """A module the lowerer does not know: it runs as a ModuleOp."""
 
-    def _model(self, pruned=True):
-        model = patternnet(rng=np.random.default_rng(7))
-        if pruned:
-            pruner = PCNNPruner(model, PCNNConfig.uniform(2, 3, num_patterns=4))
-            pruner.apply()
-            pruner.attach_encodings()
-        return model
+    def forward(self, x):
+        return x * 2.0
 
-    def test_trace_matches_dispatch_across_shapes(self, monkeypatch):
-        model = self._model()
-        compiled = runtime.compile_model(model)
-        rng = np.random.default_rng(8)
-        for batch in (1, 3, 1, 2):  # shape changes mid-stream re-trace
-            x = rng.normal(size=(batch, 3, 16, 16))
-            monkeypatch.setenv("REPRO_TRACE", "0")
-            dispatched = compiled(x)
-            monkeypatch.setenv("REPRO_TRACE", "1")
-            first = compiled(x)  # records the trace
-            replay = compiled(x)  # replays it
-            np.testing.assert_array_equal(first, replay)
-            np.testing.assert_allclose(replay, dispatched, rtol=1e-5, atol=1e-6)
 
-    def test_trace_matches_dispatch_quantized(self, monkeypatch):
-        model = self._model()
-        x = np.random.default_rng(9).normal(size=(4, 3, 16, 16))
-        compiled = runtime.compile_model(model, quantize="int8", calibration=x)
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        dispatched = compiled(x)
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        compiled(x)
+def _pruned_patternnet(seed=7, n=2, patterns=4):
+    model = patternnet(rng=np.random.default_rng(seed))
+    pruner = PCNNPruner(model, PCNNConfig.uniform(n, 3, num_patterns=patterns))
+    pruner.apply()
+    pruner.attach_encodings()
+    return model
+
+
+class TestBoundExecutor:
+    """Every compiled forward runs bound thunks: the first call at a
+    shape binds (and runs) them, later calls replay them. First call and
+    replay are bit-identical, and both match eager within the per-domain
+    tolerance: 1e-9 in float64, 1e-5 in float32, the
+    QuantizationReport bound (relative L2) in int8."""
+
+    @staticmethod
+    def _check(compiled, model, x, tol=None):
+        first = compiled(x)
         replay = compiled(x)
-        np.testing.assert_allclose(replay, dispatched, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(first, replay)
+        reference = runtime.predict(model, x)  # eager float64
+        if compiled.quantization is not None:
+            bound = compiled.quantization.error_threshold
+            rel = np.linalg.norm(first - reference) / np.linalg.norm(reference)
+            assert rel <= bound, (rel, bound)
+        else:
+            np.testing.assert_allclose(first, reference, rtol=tol, atol=tol)
 
-    def test_executor_kind_reports_mode(self, monkeypatch):
-        compiled = runtime.compile_model(self._model(pruned=False))
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert compiled.executor_kind() == "trace"
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert compiled.executor_kind() == "dispatch"
+    @pytest.mark.parametrize("quantize", [None, "int8"], ids=["f32", "int8"])
+    def test_gather_patternnet_across_shapes(self, quantize):
+        """The serving model (n=2, |P|=4): every conv runs the gather."""
+        model = _pruned_patternnet()
+        rng = np.random.default_rng(8)
+        calib = rng.normal(size=(4, 3, 16, 16))
+        compiled = runtime.compile_model(model, quantize=quantize, calibration=calib)
+        assert [row["kind"].split("+")[0] for row in compiled.schedule_summary()] == [
+            "gather"
+        ] * 3
+        for batch in (1, 3, 1, 2):  # shape changes mid-stream re-bind
+            self._check(compiled, model, rng.normal(size=(batch, 3, 16, 16)), 1e-5)
+        assert len(compiled._state().traces) == 3
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["dense", "gather"])
+    @pytest.mark.parametrize("slab_bytes", [4096, 12000, 1 << 17])
+    def test_small_slab_bytes_forces_bands(self, pruned, slab_bytes):
+        """A small workspace budget splits the column GEMM into bands of
+        output rows (one image outgrows it) or of whole images, with
+        ragged last bands."""
+        model = _pruned_patternnet() if pruned else patternnet(
+            rng=np.random.default_rng(7)
+        )
+        # float64, every conv on the column GEMM
+        compiled = runtime.compile_model(model, dtype=None, winograd=False)
+        convs = [op for op in compiled.ops if hasattr(op, "slab_bytes")]
+        for op in convs:
+            op.slab_bytes = slab_bytes
+        assert all(row["kind"] == ("gather" if pruned else "slab")
+                   for row in compiled.schedule_summary())
+        rng = np.random.default_rng(9)
+        for batch in (1, 3):
+            self._check(compiled, model, rng.normal(size=(batch, 3, 16, 16)), 1e-9)
+
+    def test_resnet18_residual_and_padded_maxpool(self):
+        from repro.models import resnet18_imagenet
+
+        model = resnet18_imagenet(num_classes=10, rng=np.random.default_rng(10))
+        compiled = runtime.compile_model(model, dtype=None)
+        kinds = {type(op).__name__ for op in compiled.iter_ops()}
+        assert {"ResidualOp", "MaxPoolOp"} <= kinds
+        assert any(
+            type(op).__name__ == "MaxPoolOp" and op.padding > 0 for op in compiled.ops
+        )
+        x = np.random.default_rng(11).normal(size=(2, 3, 32, 32))
+        self._check(compiled, model, x, 1e-9)
+
+    def test_standalone_bn_avgpool_and_module_fallback(self):
+        rng = np.random.default_rng(12)
+        bn = nn.BatchNorm2d(3)
+        bn.running_mean = rng.normal(size=3)
+        bn.running_var = rng.uniform(0.5, 2.0, size=3)
+        model = nn.Sequential(
+            bn,
+            nn.ReLU(),
+            nn.Conv2d(3, 8, 3, padding=1, rng=rng),
+            nn.AvgPool2d(2),
+            _Doubler(),
+            nn.Conv2d(8, 8, 3, padding=1, rng=rng),
+            nn.Flatten(),
+            nn.Linear(8 * 4 * 4, 5, rng=rng),
+        )
+        for dtype, tol in ((None, 1e-9), (np.float32, 1e-5)):
+            compiled = runtime.compile_model(model, dtype=dtype)
+            kinds = [type(op).__name__ for op in compiled.ops]
+            assert {"BatchNormOp", "AvgPoolOp", "ModuleOp"} <= set(kinds)
+            self._check(compiled, model, rng.normal(size=(2, 3, 8, 8)), tol)
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["dense", "gather"])
+    def test_int8_float_carried_bands(self, pruned):
+        """kernel="float" carries codes in float arrays through the same
+        band and gather schedules."""
+        from repro.runtime.quant import QuantizationConfig
+
+        model = _pruned_patternnet() if pruned else patternnet(
+            rng=np.random.default_rng(7)
+        )
+        x = np.random.default_rng(13).normal(size=(3, 3, 16, 16))
+        compiled = runtime.compile_model(
+            model, quantize=QuantizationConfig(kernel="float"), calibration=x
+        )
+        qconvs = [op for op in compiled.ops if type(op).__name__ == "QuantConvOp"]
+        assert len(qconvs) == 3 and not any(op.int8_kernel for op in qconvs)
+        assert all(op.use_gather == pruned for op in qconvs)
+        for op in qconvs:
+            op.slab_bytes = 4096
+        self._check(compiled, model, x)
 
     def test_schedule_summary_names_kernel_schedules(self):
-        model = self._model()
+        model = _pruned_patternnet()
         x = np.random.default_rng(10).normal(size=(2, 3, 16, 16))
         compiled = runtime.compile_model(model, quantize="int8", calibration=x)
         compiled(x)  # resolve winograd-auto markers

@@ -123,6 +123,9 @@ class TestQuantizers:
             QuantizationConfig(granularity="per_row")
         with pytest.raises(ValueError, match="mode"):
             QuantizationConfig(mode="clip")
+        for kernel in ("auto", "numba", "reference"):
+            with pytest.raises(ValueError, match="'blocked' or 'float'"):
+                QuantizationConfig(kernel=kernel)
 
 
 class TestExactAccumulation:
@@ -314,24 +317,24 @@ class TestCompiledQuantizedPipeline:
         assert per_kernel.quantization.fallback_layers == 0
 
     def test_forced_backend_stays_float(self):
-        """A conv pinned to an engine backend is never quantized."""
+        """A conv pinned to an engine backend lowers to a ModuleOp and
+        is never quantized; the rest of the trunk still is."""
         model = _models()["dense"]
         convs = [m for m in model.modules() if type(m).__name__ == "Conv2d"]
         convs[0].backend = "dense"
         try:
             x = np.random.default_rng(14).normal(size=(4, 3, 12, 12))
             compiled = runtime.compile_model(model, quantize="int8", calibration=x)
-            assert compiled.quantization.fallback_layers == 1
-            assert compiled.quantization.layers[0]["reason"] == "forced backend"
+            modules = [op for op in compiled.ops if type(op).__name__ == "ModuleOp"]
+            assert [op.module for op in modules] == [convs[0]]
+            # Only the lowered convs are assessed, and all of them quantize.
+            assert len(compiled.quantization.layers) == len(convs) - 1
+            assert compiled.quantization.fallback_layers == 0
+            reference = runtime.predict(model, x)
+            rel = np.linalg.norm(compiled(x) - reference) / np.linalg.norm(reference)
+            assert rel < 0.05
         finally:
             convs[0].backend = None
-
-    def test_backend_override_rejected_on_quantized_pipeline(self):
-        model = _models()["dense"]
-        x = np.random.default_rng(15).normal(size=(2, 3, 12, 12))
-        compiled = runtime.compile_model(model, quantize="int8", calibration=x)
-        with pytest.raises(ValueError, match="backend"):
-            compiled(x, backend="tiled")
 
     def test_predict_quantize_roundtrip(self):
         """predict(quantize=...) compiles, calibrates on x, and serves."""

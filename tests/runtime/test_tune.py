@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import runtime
+from repro import nn, runtime
 from repro.core import PCNNConfig, PCNNPruner
 from repro.models import patternnet
 from repro.runtime import tune as tune_mod
@@ -65,13 +65,16 @@ class TestCostTuning:
             runtime.compile_model(pruned_model(), tune="fastest", input_shape=SHAPE)
 
     def test_forced_backend_convs_are_left_alone(self):
+        """A pinned conv lowers to a ModuleOp, which the tuner never
+        schedules; it still tunes the rest through a probe forward."""
         model = pruned_model()
-        for module in model.modules():
-            if hasattr(module, "backend") and module.backend is None:
-                module.backend = "pattern"
-                break
+        pinned = next(m for m in model.modules() if isinstance(m, nn.Conv2d))
+        pinned.backend = "pattern"
         compiled = runtime.compile_model(model, tune="cost", input_shape=SHAPE)
-        assert compiled.tuning.tuned_layers < 2  # the forced conv skipped
+        modules = [op for op in compiled.ops if type(op).__name__ == "ModuleOp"]
+        assert [op.module for op in modules] == [pinned]
+        convs = [op for op in compiled.ops if isinstance(op, ConvOp)]
+        assert compiled.tuning.tuned_layers == len(convs) >= 1
 
 
 class TestMeasuredTuning:
@@ -156,6 +159,60 @@ class TestMeasuredTuning:
         assert all(op.use_gather == (op.schedule.mode == "gather") for op in qconvs)
 
 
+class TestMeasureTimesBoundThunks:
+    """The tuner times the program a compiled forward runs: each probe
+    binds once, and every timed call replays the bound thunk."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        binds, calls = [], []
+        original = ConvOp.bind
+
+        def bind(self, x, state):
+            thunk = original(self, x, state)
+            binds.append((self.tag, x.shape))
+
+            def counted(x_in):
+                calls.append(self.tag)
+                return thunk(x_in)
+
+            return counted
+
+        monkeypatch.setattr(ConvOp, "bind", bind)
+        return binds, calls
+
+    def test_one_bind_per_candidate_then_replays(self, tmp_path, monkeypatch):
+        binds, calls = self._spy(monkeypatch)
+        probes = []
+        measure = tune_mod._measure_layer_ips
+
+        def counting_measure(op, *args, **kwargs):
+            probes.append(op.tag)
+            return measure(op, *args, **kwargs)
+
+        monkeypatch.setattr(tune_mod, "_measure_layer_ips", counting_measure)
+        # The chunk tuner's whole-pipeline probes are covered below.
+        monkeypatch.setattr(tune_mod, "_tune_chunk", lambda *a, **kw: None)
+        runtime.compile_model(
+            pruned_model(n=2, patterns=4),
+            tune="measure",
+            input_shape=SHAPE,
+            tuning_cache=TuningCache(path=str(tmp_path / "tune.json")),
+        )
+        assert probes and len(binds) == len(probes)
+        assert len(calls) == len(probes) * (1 + tune_mod._MEASURE_REPEATS)
+
+    def test_chunk_probe_binds_each_chunk_shape_once(self, monkeypatch):
+        compiled = runtime.compile_model(pruned_model())
+        convs = [op for op in compiled.ops if isinstance(op, ConvOp)]
+        binds, calls = self._spy(monkeypatch)
+        tune_mod._measure_chunk_ips(compiled.ops, SHAPE, np.float32, batch=5, chunk=2)
+        # Chunks of 2, 2 and 1 image: two geometries, each bound once
+        # (the bind runs its first chunk), then two timed passes replay.
+        assert len(binds) == 2 * len(convs)
+        assert len(calls) == (2 + 2 * 3) * len(convs)
+
+
 class TestSlabOverride:
     def test_slab_bytes_override_is_numerically_identical(self):
         model = pruned_model(n=2, patterns=4)
@@ -172,9 +229,9 @@ class TestSlabOverride:
 
         state = _ExecState(arena=Arena(), plans=PlanCache())
         probe = np.random.default_rng(6).normal(size=(2, 16, 16, 3)).astype(np.float32)
-        default_out = conv.run(probe, state, None).copy()
+        default_out = conv.run(probe, state).copy()
         state2 = _ExecState(arena=Arena(), plans=PlanCache())
-        slab_out = variant.run(probe, state2, None)
+        slab_out = variant.run(probe, state2)
         np.testing.assert_allclose(slab_out, default_out, rtol=1e-5, atol=1e-6)
         assert baseline.shape[0] == 2  # compiled model unaffected
 

@@ -234,20 +234,19 @@ class TestQuantizedServing:
 class TestCacheObservability:
     """PlanCache / TuningCache stats ride the /stats payload."""
 
-    def test_plan_cache_stats_in_snapshot(self, monkeypatch):
-        # Pin the per-op dispatch path: the trace executor replays
-        # prebound thunks on repeat shapes and never consults the plan
-        # cache again, which is exactly what this test observes.
-        monkeypatch.setenv("REPRO_TRACE", "0")
+    def test_plan_cache_stats_in_snapshot(self):
         server = ModelServer(max_batch=4, max_latency_ms=1.0)
         served = server.load_registry("patternnet")
         with server:
             server.predict(np.zeros((3, 16, 16)))
+            first = served.stats.snapshot()["caches"]["plans"]
             server.predict(np.zeros((3, 16, 16)))
         snap = served.stats.snapshot()
         caches = snap["caches"]
-        assert caches["plans"]["misses"] > 0  # first request planned
-        assert caches["plans"]["hits"] > 0  # second reused every plan
+        assert first["misses"] > 0  # first request planned
+        # The second request replays the thunks bound on the first: no
+        # new plans.
+        assert caches["plans"]["misses"] == first["misses"]
         assert 0.0 <= caches["plans"]["hit_rate"] <= 1.0
         assert server.stats()["patternnet"]["caches"]["plans"] == caches["plans"]
 

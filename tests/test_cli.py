@@ -64,6 +64,11 @@ class TestCLI:
         assert "pattern" in out
         assert "output shape: (2, 10)" in out
 
+    def test_predict_compiled_rejects_backend(self, capsys):
+        assert main(["predict", "--model", "patternnet", "--batch", "2",
+                     "--repeat", "1", "--compile", "--backend", "dense"]) == 2
+        assert "backend= is eager-only" in capsys.readouterr().err
+
     def test_predict_bad_args_exit_cleanly(self, capsys):
         assert main(["predict", "--model", "patternnet", "--batch", "2",
                      "--repeat", "0"]) == 2
