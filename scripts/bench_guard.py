@@ -20,21 +20,6 @@ Policy:
 - ``BENCH_serving.json`` / ``BENCH_quant.json`` — **warn only**: the
   dynamic-batching and int8 records depend on thread scheduling and are
   noisier; a drop prints a loud warning without failing the build.
-- ``BENCH_serving.json`` worker-pool check — **hard fail**, within-run
-  and therefore machine-invariant (no baseline needed): the
-  ``pcnn_n2_p4_procs2`` row's interleaved paired ratio must hold
-  ``procs2 >= 0.9x`` single-process on a 1-core host (ring overhead
-  bounded) and ``>= 1.5x`` with 2 or more cores (the past-the-GIL
-  scaling actually materialises). The paired metric times both servers
-  back-to-back per round and takes the round-ratio median, so host load
-  spikes cannot produce a false failure. The row's shared-image attach
-  counters must also show every worker attached (``image_copied == 0``).
-- ``BENCH_serving.json`` chaos check — **hard fail**, within-run: the
-  ``pcnn_n2_p4_chaos`` row SIGKILLs one of two workers mid-burst, so
-  zero admitted requests may be dropped (``dropped == 0``,
-  ``completed == admitted``), every answer must match ``predict``
-  exactly, and the supervisor must heal the pool back to both workers
-  without exhausting its restart budget.
 - ``BENCH_serving.json`` fleet check — **hard fail**, within-run: the
   ``fleet_3models_budget`` row saturates three tenants at 2:1:1
   weights under a memory budget below their combined working set; no
@@ -159,118 +144,6 @@ def compare(
             else:
                 notes.append(line)
     return regressions, notes
-
-
-#: Paired-ratio floors for the worker-pool serving row, keyed by "does
-#: the host have real parallelism to exploit".
-PROCS_RATIO_FLOOR_1CORE = 0.9
-PROCS_RATIO_FLOOR_MULTICORE = 1.5
-
-
-def check_worker_pool(fresh: dict) -> Tuple[List[str], List[str]]:
-    """Within-run worker-pool checks on a fresh BENCH_serving.json.
-
-    Machine-invariant by construction — every number compared here was
-    produced in one run on one host — so these hard-fail even when no
-    baseline record exists or the hardware changed.
-    """
-    failures: List[str] = []
-    notes: List[str] = []
-    row = fresh.get("configs", {}).get("pcnn_n2_p4_procs2")
-    if row is None:
-        failures.append("pcnn_n2_p4_procs2: row missing from fresh record")
-        return failures, notes
-
-    copied = row.get("image_copied")
-    attached = row.get("image_attached")
-    if copied != 0:
-        failures.append(
-            f"pcnn_n2_p4_procs2: workers copied the weight image "
-            f"(copied={copied}, attached={attached}) — shared mapping broken"
-        )
-    else:
-        notes.append(
-            f"pcnn_n2_p4_procs2: image attached {attached} arrays, copied 0"
-        )
-    alive, procs = row.get("workers_alive"), row.get("worker_procs")
-    if alive != procs:
-        failures.append(
-            f"pcnn_n2_p4_procs2: only {alive}/{procs} workers alive at "
-            f"end of run"
-        )
-
-    paired = row.get("paired", {})
-    ratio = paired.get("throughput_ratio_p50")
-    if ratio is None:
-        failures.append("pcnn_n2_p4_procs2: paired ratio missing from fresh record")
-        return failures, notes
-    cpus = fresh.get("effective_cpus") or fresh.get("cpu_count") or 1
-    floor = PROCS_RATIO_FLOOR_1CORE if cpus < 2 else PROCS_RATIO_FLOOR_MULTICORE
-    line = (
-        f"pcnn_n2_p4_procs2: paired ratio {ratio:.3f}x vs single-process "
-        f"(floor {floor}x on {cpus} cpu{'s' if cpus != 1 else ''}, "
-        f"single {paired.get('single_ms_p50')} ms / "
-        f"procs {paired.get('procs_ms_p50')} ms per flush)"
-    )
-    if ratio < floor:
-        failures.append(line)
-    else:
-        notes.append(line)
-    return failures, notes
-
-
-def check_chaos(fresh: dict) -> Tuple[List[str], List[str]]:
-    """Within-run chaos invariants on a fresh BENCH_serving.json.
-
-    The chaos row already injected the fault (one of two workers
-    SIGKILLed mid-burst); this check asserts what production cares
-    about — no admitted request was dropped, answers stayed exact, and
-    the pool healed — all from a single run, no baseline needed.
-    """
-    failures: List[str] = []
-    notes: List[str] = []
-    row = fresh.get("configs", {}).get("pcnn_n2_p4_chaos")
-    if row is None:
-        failures.append("pcnn_n2_p4_chaos: row missing from fresh record")
-        return failures, notes
-
-    admitted = row.get("admitted")
-    completed = row.get("completed")
-    dropped = row.get("dropped")
-    if dropped != 0 or completed != admitted:
-        failures.append(
-            f"pcnn_n2_p4_chaos: {dropped} of {admitted} admitted requests "
-            f"dropped under a worker kill ({completed} completed) — "
-            f"admitted traffic must always be served"
-        )
-    else:
-        notes.append(
-            f"pcnn_n2_p4_chaos: all {admitted} admitted requests served "
-            f"through a worker SIGKILL (0 dropped)"
-        )
-    diff = row.get("max_abs_diff_vs_predict")
-    if diff is None or diff > 1e-5:
-        failures.append(
-            f"pcnn_n2_p4_chaos: replayed answers diverged from predict "
-            f"(max_abs_diff={diff})"
-        )
-    alive = row.get("workers_alive_end")
-    if alive != 2:
-        failures.append(
-            f"pcnn_n2_p4_chaos: pool did not heal back to 2 workers "
-            f"(alive={alive}, restarts={row.get('restarts')})"
-        )
-    else:
-        notes.append(
-            f"pcnn_n2_p4_chaos: pool healed to {alive}/2 workers "
-            f"({row.get('restarts')} restart(s), degraded={row.get('degraded')})"
-        )
-    if row.get("degraded"):
-        failures.append(
-            "pcnn_n2_p4_chaos: a single kill exhausted the restart budget "
-            "(pool marked degraded)"
-        )
-    return failures, notes
 
 
 def check_fleet(fresh: dict) -> Tuple[List[str], List[str]]:
@@ -610,15 +483,13 @@ def main(argv=None) -> int:
             print(f"[bench-guard] {name}: {severity} regression {line}")
         if regressions and policy["hard_fail"]:
             failed = True
-    # Within-run worker-pool invariants need only the fresh record.
+    # Within-run serving invariants need only the fresh record.
     if not args.runtime_only:
         serving_fresh = os.path.join(args.fresh_dir, "BENCH_serving.json")
         if os.path.exists(serving_fresh):
             with open(serving_fresh) as fh:
                 fresh = json.load(fh)
-            for check in (
-                check_worker_pool, check_chaos, check_fleet, check_load_scenarios
-            ):
+            for check in (check_fleet, check_load_scenarios):
                 check_failures, check_notes = check(fresh)
                 for line in check_notes:
                     print(f"[bench-guard] BENCH_serving.json: {line}")
@@ -628,7 +499,7 @@ def main(argv=None) -> int:
         else:
             print(
                 "[bench-guard] BENCH_serving.json: no fresh record, "
-                "worker-pool check skipped"
+                "serving checks skipped"
             )
     # Within-run kernel invariants on the fresh runtime record.
     if not args.serving_only:
@@ -651,8 +522,8 @@ def main(argv=None) -> int:
         print(
             f"[bench-guard] hard-fail: compiled throughput dropped more "
             f"than {args.tolerance:.0%} below the committed baseline, or "
-            f"a within-run invariant (worker pool, kernel equivalence) "
-            f"broke"
+            f"a within-run invariant (fleet, load scenarios, kernel "
+            f"equivalence) broke"
         )
         return 1
     print("[bench-guard] OK")

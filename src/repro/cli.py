@@ -15,9 +15,7 @@ Gives downstream users the paper's numbers without writing code:
 - ``pcnn-repro serve --model patternnet --n 2 --port 8100`` — dynamic-
   batching JSON model server on the compiled pipeline (``--bundle`` to
   serve a deployment bundle, ``--quantize`` to serve it int8;
-  ``--max-batch``/``--max-latency-ms`` tune the coalescing policy;
-  ``--worker-procs N`` fans flushes out to inference worker processes
-  over shared-memory rings — the multi-core configuration);
+  ``--max-batch``/``--max-latency-ms`` tune the coalescing policy);
 - ``pcnn-repro chip`` — Table IX breakdown + Fig. 6 floorplan.
 """
 
@@ -252,7 +250,6 @@ def build_model_server(args):
 
     server = ModelServer(
         workers=args.workers,
-        worker_procs=getattr(args, "worker_procs", None),
         max_batch=args.max_batch,
         max_latency_ms=args.max_latency_ms,
         compile=not args.no_compile,
@@ -296,9 +293,6 @@ def cmd_serve(args) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.worker_procs is not None and args.worker_procs < 1:
-        print("error: --worker-procs must be >= 1", file=sys.stderr)
-        return 2
     if args.max_queue is not None and args.max_queue < 1:
         print("error: --max-queue must be >= 1", file=sys.stderr)
         return 2
@@ -311,13 +305,6 @@ def cmd_serve(args) -> int:
     if args.tenant and args.bundle:
         print("error: --tenant fleets load registry models (drop --bundle)",
               file=sys.stderr)
-        return 2
-    if args.worker_procs is not None and args.no_compile:
-        print(
-            "error: --worker-procs requires the compiled pipeline "
-            "(drop --no-compile)",
-            file=sys.stderr,
-        )
         return 2
     if args.patterns is not None and args.n is None and not args.bundle:
         print("error: --patterns requires --n (the pruning density)", file=sys.stderr)
@@ -378,14 +365,9 @@ def cmd_serve(args) -> int:
     pipeline = "eager" if args.no_compile else (
         "compiled int8" if args.quantize else "compiled"
     )
-    execution = (
-        f"worker_procs={args.worker_procs} (shared-memory rings)"
-        if args.worker_procs
-        else f"workers={args.workers or 1}"
-    )
     print(
         f"  batching: max_batch={args.max_batch}, "
-        f"max_latency_ms={args.max_latency_ms}, {execution}, "
+        f"max_latency_ms={args.max_latency_ms}, workers={args.workers or 1}, "
         f"{pipeline} pipeline (warm)"
     )
     if args.max_queue is not None or args.slo_ms is not None:
@@ -400,7 +382,7 @@ def cmd_serve(args) -> int:
         )
     print(
         "  POST /predict /models | DELETE /models/<name> | "
-        "GET /stats /metrics /incidents /workers /models /healthz   "
+        "GET /stats /metrics /incidents /models /healthz   "
         "(Ctrl-C stops)"
     )
     try:
@@ -552,13 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", type=int, default=None,
         help="thread-pool width each coalesced flush fans out over",
-    )
-    p_serve.add_argument(
-        "--worker-procs", type=int, default=None,
-        help="serve flushes through this many inference worker *processes* "
-        "over shared-memory rings (compiled weights mapped once, "
-        "read-only, into every worker); scales past the GIL on "
-        "multi-core hosts (incompatible with --no-compile)",
     )
     p_serve.add_argument(
         "--max-batch", type=int, default=32,

@@ -32,8 +32,7 @@ bundles, the accelerator simulator's functional path):
 - :mod:`repro.runtime.quant` — the int8 execution path:
   ``compile_model(quantize="int8", calibration=batch)`` runs the conv
   trunk on integer weight/activation codes with requantizing epilogues
-  and per-layer float fallback (:class:`QuantizationConfig`); the
-  ``"quant"`` engine backend is the zero-setup eager variant.
+  and per-layer float fallback (:class:`QuantizationConfig`).
 """
 
 from .arena import Arena, ArenaStats
@@ -61,13 +60,7 @@ from .passes import (
 )
 from .plan import ExecutionPlan, PlanCache, PlanCacheStats
 from .predict import PredictStats, conv_backend_override, predict
-from .quant import (
-    QuantizationConfig,
-    QuantizationReport,
-    QuantizedBackend,
-    resolve_quantization,
-)
-from .shm import SharedModelImage, TensorRing
+from .quant import QuantizationConfig, QuantizationReport, resolve_quantization
 from .tune import (
     ConvSchedule,
     TuningCache,
@@ -76,7 +69,6 @@ from .tune import (
     effective_cpu_count,
     get_tuning_cache,
 )
-from .workerpool import BrokenWorkerPool, WorkerCrashed, WorkerPool
 
 __all__ = [
     "Arena",
@@ -105,7 +97,6 @@ __all__ = [
     "conv_backend_override",
     "QuantizationConfig",
     "QuantizationReport",
-    "QuantizedBackend",
     "resolve_quantization",
     "Graph",
     "GraphError",
@@ -123,9 +114,4 @@ __all__ = [
     "TuningReport",
     "effective_cpu_count",
     "get_tuning_cache",
-    "SharedModelImage",
-    "TensorRing",
-    "WorkerPool",
-    "WorkerCrashed",
-    "BrokenWorkerPool",
 ]

@@ -23,10 +23,6 @@ Built-in backends:
   3x3/stride-1 requests, the engine-dispatch twin of the compiled
   pipeline's Winograd schedule (same transform matrices, request-dtype
   compute so float64 requests pin to the reference at 1e-9).
-- :class:`~repro.runtime.quant.QuantizedBackend` (``"quant"``, defined
-  in :mod:`repro.runtime.quant`, registered here) — int8 execution:
-  integer weight/activation codes, wide accumulation, scales folded per
-  output column. Explicit opt-in only; never auto-selected.
 """
 
 from __future__ import annotations
@@ -493,11 +489,3 @@ register_backend(PatternSparseBackend())
 register_backend(DenseGemmBackend())
 register_backend(TiledBackend())
 register_backend(WinogradBackend())
-
-# The int8 backend lives in quant.py (it needs the compiled-pipeline op
-# machinery) but registers here so the registry is complete for anyone
-# importing this module alone. Import last: quant.py imports this
-# module's names, all of which are defined by this point.
-from .quant import QuantizedBackend  # noqa: E402  (deliberate tail import)
-
-register_backend(QuantizedBackend())

@@ -1414,7 +1414,7 @@ class CompiledModel:
 
         Answers from geometry a real call already recorded, else derives
         it analytically by walking the op list's shape rules — no probe
-        forward, no arena allocation, no worker-pool dispatch, which is
+        forward and no arena allocation, which is
         what lets ``predict`` answer empty batches for free. Returns
         ``None`` when the pipeline's geometry cannot be derived
         statically (a :class:`ModuleOp` fallback hides its spatial

@@ -220,16 +220,9 @@ def predict(
         held at one thread for the call (:func:`repro.runtime.blas.pinned`)
         and restored afterwards.
     executor:
-        Bring-your-own pool used instead of the shared thread pool — a
-        ``ThreadPoolExecutor`` (callers that already own a pool or want
-        bounded lifetimes in tests), or a
-        :class:`~repro.runtime.workerpool.WorkerPool` of inference
-        *processes*, recognised by its ``is_process_pool`` marker:
-        chunks then travel over shared-memory rings to workers holding
-        read-only views of the same weights, which is what scales past
-        the GIL. A process pool is bound to one compiled model, so
-        ``model`` must be that exact :class:`CompiledModel`; ``workers``
-        defaults to the pool's process count.
+        Bring-your-own ``ThreadPoolExecutor`` used instead of the shared
+        thread pool, for callers that already own a pool or want bounded
+        lifetimes in tests.
     compile:
         Lower the model with :func:`~repro.runtime.compile.compile_model`
         for this call (BN folding, fused epilogues, float32, arenas).
@@ -293,26 +286,11 @@ def predict(
             "it was compiled with (pin Conv2d.backend before compiling to "
             "keep that layer on an engine backend)"
         )
-    process_pool = executor is not None and getattr(executor, "is_process_pool", False)
-    if process_pool:
-        if not isinstance(model, CompiledModel) or model is not executor.compiled:
-            raise ValueError(
-                "a process-pool executor serves the compiled model it was "
-                "built from; pass that CompiledModel as model="
-            )
-        if workers is None:
-            # Split by the parallelism the machine actually has, not the
-            # pool width: on a 1-core host, chunking a flush across every
-            # worker only multiplies ring round-trips and shrinks the
-            # per-chunk batch with no concurrency to gain — one full
-            # chunk to one (least-loaded) worker is strictly cheaper.
-            workers = max(1, min(executor.procs, effective_cpu_count()))
     if x.shape[0] == 0:
         # A batcher flush or a drained queue legitimately produces N=0:
         # answer with a correctly-shaped (0, ...) output. A compiled
         # model knows (or can derive) its output geometry from metadata
-        # — no forward pass, so a worker pool is never spun up for an
-        # empty flush; otherwise fall back to a one-image probe,
+        # — no forward pass; otherwise fall back to a one-image probe,
         # memoized per model and geometry (checked before the compile
         # step so repeated empty calls never lower the model).
         entry = (
@@ -388,11 +366,6 @@ def predict(
         return out
 
     def run_all() -> List[np.ndarray]:
-        if process_pool:
-            # Chunks cross the process boundary as shared-memory tensor
-            # records (a closure cannot); chunk timings come back from
-            # the workers' own enqueue->response stamps.
-            return executor.run_chunks(chunks, chunk_seconds)
         if lanes > 1:
             laned = _laned.setdefault(compiled, set())
             geometry = (x.shape[1:], np.dtype(x.dtype))

@@ -5,28 +5,20 @@ Sections IV-E of the paper (and :mod:`repro.core.quantize` /
 8-bit precision with integer multiply-accumulate. Until this module,
 every serving path dequantized those weights back to float before the
 GEMM, so quantization only ever bought *storage*, never runtime. This
-module closes that gap with two execution paths:
-
-- :class:`QuantizedBackend` — an engine-level
-  :class:`~repro.runtime.backends.ConvBackend` (name ``"quant"``,
-  explicit-opt-in only) that quantizes weights per call, dynamically
-  quantizes the activation batch, and runs the convolution as a GEMM on
-  integer codes. The reference/demo path: it makes
-  ``dispatch(..., backend="quant")`` and ``predict(model, x,
-  backend="quant")`` work on any model with zero setup.
-- :func:`quantize_pipeline` — the serving path.
-  ``compile_model(model, quantize="int8", calibration=batch)`` lowers
-  the model to float ops first, then this pass calibrates per-edge
-  activation scales from a small batch, converts eligible convolutions
-  to :class:`QuantConvOp` (int8 weight codes, SPM-aware so only the
-  non-zero sequences are quantized, bias folded in code space) and
-  keeps the whole conv trunk in int8 activation codes: each conv's
-  epilogue *requantizes* its output directly to the next layer's codes,
-  and max-pool/ReLU run on codes unchanged (both commute with a
-  positive per-tensor scale). Layers whose weight-quantization error
-  exceeds :attr:`QuantizationConfig.error_threshold` stay float, with
-  :class:`QuantizeOp`/:class:`DequantizeOp` boundaries inserted
-  automatically.
+module closes that gap in the compiled pipeline:
+:func:`quantize_pipeline` is the ``quantize`` pass.
+``compile_model(model, quantize="int8", calibration=batch)`` lowers
+the model to float ops first, then this pass calibrates per-edge
+activation scales from a small batch, converts eligible convolutions
+to :class:`QuantConvOp` (int8 weight codes, SPM-aware so only the
+non-zero sequences are quantized, bias folded in code space) and
+keeps the whole conv trunk in int8 activation codes: each conv's
+epilogue *requantizes* its output directly to the next layer's codes,
+and max-pool/ReLU run on codes unchanged (both commute with a
+positive per-tensor scale). Layers whose weight-quantization error
+exceeds :attr:`QuantizationConfig.error_threshold` stay float, with
+:class:`QuantizeOp`/:class:`DequantizeOp` boundaries inserted
+automatically.
 
 **Arithmetic model.** Activations flow between quantized convs as real
 ``int8`` arrays (the carried bytes are the codes, not float stand-ins),
@@ -55,7 +47,6 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .arena import Arena
-from .backends import Epilogue
 from .compile import (
     ConvOp,
     MaxPoolOp,
@@ -65,12 +56,11 @@ from .compile import (
     _ExecState,
     _InferenceOp,
 )
-from .plan import ExecutionPlan, PlanCache
+from .plan import PlanCache
 
 __all__ = [
     "QuantizationConfig",
     "QuantizationReport",
-    "QuantizedBackend",
     "QuantConvOp",
     "QuantizeOp",
     "DequantizeOp",
@@ -332,62 +322,6 @@ def int8_gemm_int32_blocked(
         else:
             out += partial
     return out
-
-
-# ---------------------------------------------------------------------
-# Eager engine backend
-# ---------------------------------------------------------------------
-class QuantizedBackend:
-    """Engine backend running convs as GEMMs on int8 codes (``"quant"``).
-
-    The zero-setup int8 path: weights (dense or SPM-decoded) are
-    quantized on every call with the configured granularity, the
-    activation batch is quantized dynamically with one per-tensor scale,
-    and the GEMM multiplies the two integer-code matrices with the scale
-    product folded back per output column afterwards — the epilogue
-    (bias/ReLU) then applies in float exactly like every other backend,
-    so outputs are drop-in comparable. Never auto-selected
-    (:func:`~repro.runtime.engine.select_backend` ignores it): per-call
-    weight quantization is reference-grade, not serving-grade — serving
-    uses ``compile_model(quantize=...)``, which quantizes once at
-    compile time.
-    """
-
-    name = "quant"
-
-    def __init__(self, config: Optional[QuantizationConfig] = None) -> None:
-        self.config = config or QuantizationConfig()
-
-    def supports(self, request) -> bool:
-        """Any dense-weight or SPM-encoded request can run quantized."""
-        return request.weight is not None or request.encoded is not None
-
-    def execute(
-        self,
-        request,
-        plan: ExecutionPlan,
-        workspace: Optional[dict] = None,
-        epilogue: Optional[Epilogue] = None,
-    ) -> np.ndarray:
-        """Quantize operands, run the code GEMM, fold scales, epilogue."""
-        from ..nn.functional import im2col
-
-        config = self.config
-        if request.weight is not None:
-            weight = request.weight
-        else:
-            weight = request.encoded.decoded_weight()
-        w_mat = weight.reshape(plan.out_channels, -1)
-        w_codes, w_scales, _ = quantize_weight_codes(w_mat, config)
-        x_codes, a_scale = quantize_activation_codes(request.x, config)
-        cols, _ = im2col(x_codes, plan.kernel, plan.stride, plan.padding)
-        # Integer codes carried in float64: BLAS dgemm accumulates every
-        # realisable int8 conv exactly (products < 2^15, sums < 2^53).
-        out = cols @ w_codes.T.astype(np.float64)
-        out *= w_scales[None, :] * a_scale
-        if epilogue is not None:
-            epilogue.apply(out)
-        return out
 
 
 # ---------------------------------------------------------------------

@@ -137,11 +137,10 @@ def effective_cpu_count() -> int:
     """CPUs this process can actually run on — the tuning-cache key.
 
     ``os.cpu_count()`` reports the machine, not the process: under CPU
-    affinity or cgroup limits (containers, ``taskset``) the router and
-    its workers could disagree and key separate cache entries for the
-    same hardware budget. Resolution order: the :data:`TUNE_CPUS_ENV`
-    override (how pool workers inherit the router's resolved value),
-    then ``len(os.sched_getaffinity(0))``, then ``os.cpu_count()``.
+    affinity or cgroup limits (containers, ``taskset``) it overstates
+    the hardware budget. Resolution order: the :data:`TUNE_CPUS_ENV`
+    override, then ``len(os.sched_getaffinity(0))``, then
+    ``os.cpu_count()``.
     """
     override = os.environ.get(TUNE_CPUS_ENV)
     if override:

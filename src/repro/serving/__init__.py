@@ -15,10 +15,8 @@ The layer that turns ``runtime.predict`` into a service:
   pattern path), compile once, warm every bucket at startup. Entries
   hot-swap (``add_model(replace=True)`` / ``remove_model``) without
   dropping accepted requests.
-- :class:`Supervisor` — heals worker-process pools: heartbeat/liveness
-  monitoring, crashed/wedged-worker respawn within a restart budget,
-  and the incident log behind ``GET /incidents`` (residency transitions
-  land there too).
+- :class:`IncidentLog` — the bounded log behind ``GET /incidents``,
+  where residency transitions land.
 - :class:`FlushScheduler` — central deficit-weighted round-robin
   dispatcher over every tenant's batcher (per-model ``weight=``), SLO
   deadlines first; under saturation throughput tracks the weights.
@@ -30,8 +28,9 @@ The layer that turns ``runtime.predict`` into a service:
   :class:`QuotaExceeded` (HTTP 429 kind ``quota_exceeded``).
 - :class:`ServerStats` — p50/p95/p99 latency, queue depth, coalesced
   batch-size histogram and throughput, exposed at ``/stats``;
-  :func:`render_metrics` renders the same counters (plus supervision
-  state) in Prometheus text format for ``GET /metrics``.
+  :func:`render_metrics` renders the same counters (plus residency,
+  scheduler and stream state) in Prometheus text format for
+  ``GET /metrics``.
 - :class:`ServingHTTPServer` / :func:`serve_http` — stdlib JSON
   endpoint; ``pcnn-repro serve`` is the CLI wrapper.
 - :class:`StreamServer` / :class:`StreamClient` — persistent-connection
@@ -52,6 +51,7 @@ from .batcher import (
 )
 from .errors import ServingError, classify_error, retry_after_seconds
 from .http import ServingHTTPServer, serve_http
+from .incidents import Incident, IncidentLog
 from .metrics import render_metrics
 from .residency import DEMOTED, EVICTED, RESIDENT, ResidencyManager
 from .scheduler import FlushScheduler
@@ -63,7 +63,6 @@ from .stream import (
     StreamResult,
     StreamServer,
 )
-from .supervisor import Incident, RestartBudget, Supervisor
 from .wire import Frame, FrameError, FrameReader, WireError
 
 __all__ = [
@@ -83,8 +82,7 @@ __all__ = [
     "DEMOTED",
     "EVICTED",
     "Incident",
-    "RestartBudget",
-    "Supervisor",
+    "IncidentLog",
     "render_metrics",
     "ServingHTTPServer",
     "serve_http",

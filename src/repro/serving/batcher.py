@@ -51,22 +51,17 @@ Production robustness lives here too:
   requests that already blew their SLO while queued are failed with
   :class:`SLOExpired` (HTTP 503) at flush assembly instead of wasting a
   batch slot on an answer nobody is waiting for.
-- **Degraded fallback** (``fallback_runner``): when the primary runner
-  fails with a worker-pool error (every worker dead mid-flush), the
-  batch is re-served through the fallback — in-process ``predict`` —
-  so accepted requests complete while the supervisor heals the pool.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Tuple, Type
+from typing import Callable, Deque, List, Optional
 
 import numpy as np
 
@@ -80,8 +75,6 @@ __all__ = [
     "SLOExpired",
     "bucket_sizes",
 ]
-
-logger = logging.getLogger("repro.serving")
 
 
 class BatcherClosed(RuntimeError):
@@ -182,14 +175,6 @@ class Batcher:
         Per-tenant rate quota in requests/second (token bucket with a
         one-second burst allowance); over-quota submits raise
         :class:`QuotaExceeded`. ``None`` disables the quota.
-    fallback_runner:
-        Degraded-mode runner (typically in-process ``predict``) used
-        when ``runner`` raises one of ``fallback_on``; the fallback's
-        flushes are counted in ``stats.degraded_flushes``.
-    fallback_on:
-        Exception types that trigger the fallback (worker-pool errors —
-        the serving layer passes ``BrokenWorkerPool``/``WorkerCrashed``/
-        ``RingTimeout``). Other runner errors still fail the batch.
     """
 
     def __init__(
@@ -204,8 +189,6 @@ class Batcher:
         slo_ms: Optional[float] = None,
         weight: float = 1.0,
         rate: Optional[float] = None,
-        fallback_runner: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        fallback_on: Tuple[Type[BaseException], ...] = (),
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -228,8 +211,6 @@ class Batcher:
         self.slo = None if slo_ms is None else slo_ms / 1e3
         self.weight = float(weight)
         self.rate = None if rate is None else float(rate)
-        self.fallback_runner = fallback_runner
-        self.fallback_on = tuple(fallback_on)
         self._items: Deque[_Request] = deque()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -511,28 +492,6 @@ class Batcher:
                 live.append(request)
         return live
 
-    def _run_batch(self, x: np.ndarray, size: int) -> np.ndarray:
-        """Primary runner, falling back in-process on pool errors.
-
-        A dead worker pool must fail *closed*: the requests were already
-        admitted, so they are re-served through ``fallback_runner``
-        (degraded mode — slower, but correct) rather than surfaced as
-        errors while the supervisor heals the pool.
-        """
-        try:
-            return self.runner(x)
-        except self.fallback_on as error:
-            if self.fallback_runner is None:
-                raise
-            logger.warning(
-                "worker pool failed a %d-image flush (%s: %s); "
-                "re-serving in-process (degraded mode)",
-                size, type(error).__name__, error,
-            )
-            out = self.fallback_runner(x)
-            self.stats.record_degraded(size)
-            return out
-
     def _flush(self, batch: List[_Request]) -> int:
         """Serve one coalesced batch; returns the requests dispatched."""
         # Transition every future to RUNNING first: a future cancelled
@@ -553,7 +512,7 @@ class Batcher:
             start = time.perf_counter()
             for request in batch:
                 self.stats.record_queue_wait(start - request.submitted)
-            out = self._run_batch(x, size)
+            out = self.runner(x)
             seconds = time.perf_counter() - start
             if out.shape[0] != x.shape[0]:
                 raise RuntimeError(

@@ -24,7 +24,6 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from typing import Optional
 
-from ..runtime import BrokenWorkerPool, WorkerCrashed
 from .batcher import BatcherClosed, QueueFull, QuotaExceeded, SLOExpired
 
 __all__ = ["ServingError", "classify_error", "retry_after_seconds"]
@@ -83,10 +82,6 @@ def classify_error(
         return ServingError(503, "slo_expired", str(error))
     if isinstance(error, BatcherClosed):
         return ServingError(503, "batcher_closed", str(error))
-    if isinstance(error, (BrokenWorkerPool, WorkerCrashed)):
-        return ServingError(
-            503, "worker_pool", f"{type(error).__name__}: {error}"
-        )
     if isinstance(error, FutureTimeout):
         if request_timeout is not None:
             message = (

@@ -16,21 +16,16 @@ Routes
   a bundle; compiles and warms off the serving path.
 - ``DELETE /models/<name>`` — unregister a model, draining accepted
   requests before teardown.
-- ``GET /stats`` — per-model :meth:`ServerStats.snapshot` JSON (models
-  served by a worker-process pool include a ``workers`` block).
+- ``GET /stats`` — per-model :meth:`ServerStats.snapshot` JSON.
 - ``GET /metrics`` — the same counters in Prometheus text format
-  (scraper-ready: shed/restart counters, queue depth, latency buckets).
-- ``GET /incidents`` — the supervisor's incident log + per-model
-  healing status (restarts, crashes, wedges, degraded flags).
-- ``GET /workers`` — just the per-model worker-pool breakdown (per-worker
-  req/s, ring occupancy, shared-image attach/copy counters); models
-  served in-process are omitted.
+  (scraper-ready: shed counters, queue depth, latency buckets).
+- ``GET /incidents`` — the bounded incident log of residency
+  transitions (demotions, promotions, evictions, over-budget).
 - ``GET /models`` — the served-model registry, one row per tenant with
   its residency state (``resident``/``demoted``/``evicted``), charged
   bytes, fair-share weight and demotion/promotion/eviction counters.
-- ``GET /healthz`` — liveness probe; reports ``degraded`` when any
-  pool exhausted its restart budget (still HTTP 200 — degraded serving
-  answers requests through the in-process fallback).
+- ``GET /healthz`` — liveness probe: ``{"status": "ok", "models":
+  [...]}``.
 
 Error contract
 --------------
@@ -47,9 +42,8 @@ parsing prose:
   drain rate.
 - ``429 quota_exceeded`` — the tenant is over its per-model rate quota;
   ``Retry-After`` is when the token bucket earns the next token back.
-- ``503 slo_expired | batcher_closed | worker_pool`` — the request was
-  accepted but could not be served within its SLO / the endpoint is
-  shutting down / the worker pool failed without a fallback.
+- ``503 slo_expired | batcher_closed`` — the request was accepted but
+  could not be served within its SLO / the endpoint is shutting down.
 - ``504 timeout`` — the server-side ``request_timeout`` expired first.
 - ``500 internal`` — anything else (a bug, by definition).
 """
@@ -136,30 +130,13 @@ class _Handler(BaseHTTPRequestHandler):
                 200, render_metrics(model_server), METRICS_CONTENT_TYPE
             )
         elif self.path == "/incidents":
-            self._reply(200, model_server.supervisor.snapshot())
-        elif self.path == "/workers":
-            self._reply(
-                200,
-                {
-                    name: m.pool.stats_snapshot()
-                    for name, m in model_server.models.items()
-                    if m.pool is not None
-                },
-            )
+            self._reply(200, model_server.incidents.snapshot())
         elif self.path == "/models":
             self._reply(200, model_server.describe_models())
         elif self.path == "/healthz":
-            status = model_server.supervisor.model_status()
-            degraded = sorted(
-                name for name, row in status.items() if row["degraded"]
+            self._reply(
+                200, {"status": "ok", "models": sorted(model_server.models)}
             )
-            payload = {
-                "status": "degraded" if degraded else "ok",
-                "models": sorted(model_server.models),
-            }
-            if degraded:
-                payload["degraded"] = degraded
-            self._reply(200, payload)
         else:
             self._error(404, "not_found", f"unknown path {self.path!r}")
 

@@ -6,7 +6,7 @@ in the `Prometheus text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ —
 ``# HELP`` / ``# TYPE`` headers, one ``name{labels} value`` sample per
 line — using only the standard library, so any Prometheus-compatible
-scraper can alert on shed rate, queue depth, worker restarts and
+scraper can alert on shed rate, queue depth, residency churn and
 latency buckets without an adapter.
 
 Conventions honoured:
@@ -72,12 +72,10 @@ def render_metrics(model_server) -> str:
     """Render a :class:`~repro.serving.ModelServer` as Prometheus text.
 
     One pass over the served models (request/batch/shed/latency
-    counters, queue depth) plus the supervisor's healing state
-    (restarts, crashes, wedges, degraded flags, per-worker liveness).
+    counters, queue depth) plus the fleet's residency, scheduler and
+    stream state.
     """
     models = dict(model_server.models)
-    supervisor = getattr(model_server, "supervisor", None)
-    status = supervisor.model_status() if supervisor is not None else {}
 
     w = _Writer()
 
@@ -106,26 +104,6 @@ def render_metrics(model_server) -> str:
             w.sample(
                 "repro_shed_total", {"model": name, "reason": reason}, count
             )
-
-    w.family(
-        "repro_degraded_flushes_total", "counter",
-        "Flushes the worker pool failed but the in-process fallback served.",
-    )
-    for name, served in models.items():
-        w.sample(
-            "repro_degraded_flushes_total", {"model": name},
-            served.stats.degraded_flushes,
-        )
-
-    w.family(
-        "repro_degraded_requests_total", "counter",
-        "Requests served through the degraded-mode fallback.",
-    )
-    for name, served in models.items():
-        w.sample(
-            "repro_degraded_requests_total", {"model": name},
-            served.stats.degraded_requests,
-        )
 
     w.family(
         "repro_queue_depth", "gauge", "Requests waiting in the batcher queue."
@@ -293,59 +271,5 @@ def render_metrics(model_server) -> str:
                 "repro_stream_frames_per_second", {"model": name},
                 row["frames_per_second"],
             )
-
-    # -- worker-pool / supervision families ----------------------------
-    pooled = {name: m for name, m in models.items() if m.pool is not None}
-
-    w.family(
-        "repro_workers_alive", "gauge",
-        "Worker processes currently accepting dispatch.",
-    )
-    for name, served in pooled.items():
-        w.sample("repro_workers_alive", {"model": name}, served.pool.alive_workers)
-
-    w.family("repro_workers_total", "gauge", "Configured worker-pool width.")
-    for name, served in pooled.items():
-        w.sample("repro_workers_total", {"model": name}, served.pool.procs)
-
-    w.family(
-        "repro_worker_restarts_total", "counter",
-        "Workers respawned by the supervisor.",
-    )
-    w.family(
-        "repro_worker_crashes_total", "counter",
-        "Worker deaths observed by the pool collector.",
-    )
-    w.family(
-        "repro_worker_wedged_total", "counter",
-        "Workers killed for a stale heartbeat with work outstanding.",
-    )
-    w.family(
-        "repro_pool_degraded", "gauge",
-        "1 when the pool exhausted its restart budget (fallback serving).",
-    )
-    for name, row in status.items():
-        w.sample("repro_worker_restarts_total", {"model": name}, row["restarts"])
-        w.sample("repro_worker_crashes_total", {"model": name}, row["crashes"])
-        w.sample("repro_worker_wedged_total", {"model": name}, row["wedged"])
-        w.sample("repro_pool_degraded", {"model": name}, int(row["degraded"]))
-
-    w.family(
-        "repro_worker_up", "gauge",
-        "Per-worker liveness (1=serving, 0=dead or retired).",
-    )
-    w.family(
-        "repro_worker_heartbeat_age_seconds", "gauge",
-        "Seconds since each live worker's last heartbeat stamp.",
-    )
-    for name, served in pooled.items():
-        for worker_id, row in served.pool.worker_health().items():
-            labels = {"model": name, "worker": worker_id}
-            w.sample("repro_worker_up", labels, int(row["alive"]))
-            if row["heartbeat_age_s"] is not None:
-                w.sample(
-                    "repro_worker_heartbeat_age_seconds", labels,
-                    row["heartbeat_age_s"],
-                )
 
     return w.render()

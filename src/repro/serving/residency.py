@@ -16,8 +16,7 @@ is in one of three states:
   + lazy warmup — **never a recompile**.
 
 The *ledger* charges each tenant its reclaimable resident bytes
-(derived + plans + arenas, plus any auxiliary charge such as a worker
-pool's shared image). When the fleet's total charge exceeds
+(derived + plans + arenas). When the fleet's total charge exceeds
 ``budget_bytes``, the manager demotes the least-recently-used resident
 tenants, then evicts the least-recently-used demoted ones, until under
 budget. Weights themselves are never dropped — a registered tenant can
@@ -55,21 +54,13 @@ class _Tenant:
     """One model's residency state (lock serialises flush vs demote)."""
 
     __slots__ = (
-        "name", "compiled", "aux_bytes", "pinned", "state", "charged",
-        "last_used", "lock", "demotions", "promotions", "evictions",
+        "name", "compiled", "state", "charged", "last_used", "lock",
+        "demotions", "promotions", "evictions",
     )
 
-    def __init__(
-        self,
-        name: str,
-        compiled,
-        aux_bytes: Optional[Callable[[], int]],
-        pinned: bool,
-    ) -> None:
+    def __init__(self, name: str, compiled) -> None:
         self.name = name
         self.compiled = compiled
-        self.aux_bytes = aux_bytes
-        self.pinned = pinned
         self.state = RESIDENT
         self.charged = 0
         self.last_used = time.monotonic()
@@ -91,7 +82,7 @@ class ResidencyManager:
     on_event:
         Optional callback ``(kind, model, **detail)`` for demotion /
         promotion / eviction / over-budget events — the server wires
-        this into the supervisor's incident log.
+        this into its :class:`~repro.serving.incidents.IncidentLog`.
     """
 
     def __init__(
@@ -121,26 +112,14 @@ class ResidencyManager:
                 logger.exception("residency event sink failed for %r", model)
 
     # -- registration --------------------------------------------------
-    def admit(
-        self,
-        name: str,
-        compiled,
-        *,
-        aux_bytes: Optional[Callable[[], int]] = None,
-        pinned: bool = False,
-    ) -> None:
+    def admit(self, name: str, compiled) -> None:
         """Register a tenant as resident and charge it to the ledger.
 
         ``compiled`` may be ``None`` (an uncompiled model has no managed
         working set; it is tracked with a zero-ish charge so /models
-        still reports it). ``aux_bytes`` adds an auxiliary charge — a
-        worker pool's shared-memory image, for instance. ``pinned``
-        tenants are counted but never demoted (a multi-process tenant's
-        hot state lives in its worker processes; reclaiming it means
-        tearing down the pool, which is the supervisor's call, not the
-        ledger's).
+        still reports it).
         """
-        tenant = _Tenant(name, compiled, aux_bytes, pinned)
+        tenant = _Tenant(name, compiled)
         with self._lock:
             self._tenants[name] = tenant
         self._settle(tenant)
@@ -225,10 +204,10 @@ class ResidencyManager:
     # -- manual controls (tests, operator endpoints) -------------------
     def demote(self, name: str) -> bool:
         """Demote ``name`` now (blocking on its in-flight requests).
-        Returns False for unknown/pinned tenants."""
+        Returns False for unknown tenants."""
         with self._lock:
             tenant = self._tenants.get(name)
-        if tenant is None or tenant.pinned:
+        if tenant is None:
             return False
         with tenant.lock:
             if tenant.state == RESIDENT:
@@ -237,10 +216,10 @@ class ResidencyManager:
         return True
 
     def evict(self, name: str) -> bool:
-        """Fully evict ``name`` now (blocking). False if unknown/pinned."""
+        """Fully evict ``name`` now (blocking). False if unknown."""
         with self._lock:
             tenant = self._tenants.get(name)
-        if tenant is None or tenant.pinned:
+        if tenant is None:
             return False
         with tenant.lock:
             if tenant.state != EVICTED:
@@ -249,19 +228,8 @@ class ResidencyManager:
         return True
 
     # -- ledger --------------------------------------------------------
-    def _measure(self, tenant: _Tenant) -> int:
-        total = 0
-        if tenant.compiled is not None:
-            total += tenant.compiled.resident_nbytes()
-        if tenant.aux_bytes is not None:
-            try:
-                total += int(tenant.aux_bytes())
-            except Exception:  # noqa: BLE001 - a dead pool charges nothing
-                pass
-        return total
-
     def _recharge(self, tenant: _Tenant) -> None:
-        charge = self._measure(tenant)
+        charge = 0 if tenant.compiled is None else tenant.compiled.resident_nbytes()
         with self._lock:
             tenant.charged = charge
 
@@ -287,7 +255,7 @@ class ResidencyManager:
         with self._lock:
             candidates = [
                 t for t in self._tenants.values()
-                if t is not exclude and not t.pinned and t.state == state
+                if t is not exclude and t.state == state
             ]
         return sorted(candidates, key=lambda t: t.last_used)
 
@@ -316,8 +284,8 @@ class ResidencyManager:
                 continue
             if self._reclaim_one(DEMOTED, exclude, self._evict_locked):
                 continue
-            # Nothing left to reclaim (everything else is busy, pinned,
-            # or already evicted): ride over budget, say so once.
+            # Nothing left to reclaim (everything else is busy or
+            # already evicted): ride over budget, say so once.
             if not self._over_reported:
                 self._over_reported = True
                 self._event(
@@ -339,7 +307,6 @@ class ResidencyManager:
             "state": tenant.state,
             "resident": tenant.state == RESIDENT,
             "bytes": tenant.charged,
-            "pinned": tenant.pinned,
             "demotions": tenant.demotions,
             "promotions": tenant.promotions,
             "evictions": tenant.evictions,

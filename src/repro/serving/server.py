@@ -9,26 +9,14 @@ model once (:func:`~repro.runtime.compile_model`, optionally to the int8
 execution path via ``quantize=``), warms plans and arena buffers for
 every batch bucket before traffic arrives, and runs one dynamic
 :class:`~repro.serving.batcher.Batcher` per model that flushes into
-``runtime.predict(compiled, workers=N)``.
+``runtime.predict(compiled, workers=N)``. Everything runs in this
+process: flushes use BLAS and the compiled pipeline's thread lanes.
 
-With ``worker_procs=N`` the flush fans out over a
-:class:`~repro.runtime.WorkerPool` of inference *processes* instead of
-threads: the compiled model is exported once into a shared-memory
-weight image every worker maps read-only, and each flush bucket travels
-to a worker over a shared-memory tensor ring (no pickling of image
-payloads on the hot path). That is the configuration that scales past
-the GIL on multi-core hosts; ``GET /stats`` grows a ``workers`` block
-whose attach counters prove the workers attached rather than copied.
-
-The server is also the supervision root: every pool is registered with
-a :class:`~repro.serving.supervisor.Supervisor` that respawns crashed
-or wedged workers within a restart budget, each batcher gets the
-server-wide admission policy (``max_queue`` → 429, ``slo_ms`` → 503)
-plus an in-process degraded-mode fallback for pool failures, and the
-model registry is *hot*: :meth:`add_model` with ``replace=True`` (and
-:meth:`remove_model`) compile/warm off the serving path, atomically
-swap the registry entry, and drain the old batcher without dropping a
-single accepted request.
+Each batcher gets the server-wide admission policy (``max_queue`` →
+429, ``slo_ms`` → 503), and the model registry is *hot*:
+:meth:`add_model` with ``replace=True`` (and :meth:`remove_model`)
+compile/warm off the serving path, atomically swap the registry entry,
+and drain the old batcher without dropping a single accepted request.
 
 Multi-tenant fleets add two more coordinators, both owned here:
 
@@ -45,8 +33,8 @@ Multi-tenant fleets add two more coordinators, both owned here:
   evicted, LRU-first; a request landing on a demoted/evicted tenant
   re-promotes it inside the flush guard (warm re-prepare — never a
   recompile) so admitted traffic never fails on residency. Transitions
-  land in the supervisor's incident log and on ``/models``,
-  ``/stats`` and ``/metrics``.
+  land in the server's :class:`~repro.serving.incidents.IncidentLog`
+  (``GET /incidents``) and on ``/models``, ``/stats`` and ``/metrics``.
 """
 
 from __future__ import annotations
@@ -60,12 +48,11 @@ import numpy as np
 from .. import runtime
 from ..core.deploy import DeploymentBundle
 from ..models import create_model, model_input_shape
-from ..runtime.shm import RingTimeout
 from .batcher import Batcher, bucket_sizes
+from .incidents import IncidentLog
 from .residency import ResidencyManager
 from .scheduler import FlushScheduler
 from .stats import ServerStats
-from .supervisor import Supervisor
 
 __all__ = ["ServedModel", "ModelServer"]
 
@@ -86,7 +73,6 @@ class ServedModel:
     stats: ServerStats
     source: str = "registry"
     meta: dict = field(default_factory=dict)
-    pool: Optional[runtime.WorkerPool] = None
 
     @property
     def target(self) -> object:
@@ -128,15 +114,7 @@ class ModelServer:
     workers:
         Thread-pool width each flush fans out over
         (``runtime.predict(compiled, workers=N)``); ``None``/1 keeps
-        flushes single-threaded. Ignored for models served through a
-        worker-process pool (``worker_procs``).
-    worker_procs:
-        Serve flushes through a :class:`~repro.runtime.WorkerPool` of
-        this many inference *processes* over shared-memory rings, with
-        the compiled weights mapped once into a shared image every
-        worker attaches read-only. ``None`` (default) keeps in-process
-        serving. Requires ``compile``; each loaded model gets its own
-        pool, shut down by :meth:`stop`.
+        flushes single-threaded.
     max_batch / max_latency_ms:
         Default coalescing policy for every model's batcher.
     compile:
@@ -167,11 +145,6 @@ class ModelServer:
         early to make the oldest request's deadline, and requests that
         blew the SLO while queued are shed with
         :class:`~repro.serving.batcher.SLOExpired` (HTTP 503).
-    supervisor:
-        The healing :class:`~repro.serving.supervisor.Supervisor` pools
-        register with (respawn budget, wedge detection, incident log).
-        A default one is built when not given; pass a custom instance
-        to tune ``heartbeat_timeout`` or the restart budget.
     memory_budget_mb:
         Fleet-wide budget (MiB) for reclaimable resident bytes — plan
         caches, arena scratch and derived GEMM operands across every
@@ -193,7 +166,6 @@ class ModelServer:
         self,
         *,
         workers: Optional[int] = None,
-        worker_procs: Optional[int] = None,
         max_batch: int = 32,
         max_latency_ms: float = 2.0,
         compile: bool = True,
@@ -201,7 +173,6 @@ class ModelServer:
         tune: Optional[str] = None,
         max_queue: Optional[int] = None,
         slo_ms: Optional[float] = None,
-        supervisor: Optional[Supervisor] = None,
         memory_budget_mb: Optional[float] = None,
         scheduler_threads: int = 1,
     ) -> None:
@@ -215,16 +186,7 @@ class ModelServer:
             raise ValueError("quantize= requires the compiled pipeline (compile=True)")
         if tune is not None and not compile:
             raise ValueError("tune= requires the compiled pipeline (compile=True)")
-        if worker_procs is not None:
-            if worker_procs < 1:
-                raise ValueError("worker_procs must be >= 1")
-            if not compile:
-                raise ValueError(
-                    "worker_procs= requires the compiled pipeline (compile=True): "
-                    "workers serve a shared-memory image of the compiled model"
-                )
         self.workers = workers
-        self.worker_procs = worker_procs
         self.max_batch = max_batch
         self.max_latency_ms = max_latency_ms
         self.compile = compile
@@ -234,11 +196,11 @@ class ModelServer:
             raise ValueError("memory_budget_mb must be > 0 (or None to disable)")
         self.max_queue = max_queue
         self.slo_ms = slo_ms
-        self.supervisor = supervisor if supervisor is not None else Supervisor()
+        self.incidents = IncidentLog()
         self.memory_budget_mb = memory_budget_mb
         self.residency = ResidencyManager(
             None if memory_budget_mb is None else int(memory_budget_mb * 2**20),
-            on_event=self._residency_event,
+            on_event=self.incidents.record,
         )
         self.scheduler = FlushScheduler(threads=scheduler_threads)
         #: The binary streaming front end, when one is attached
@@ -248,11 +210,6 @@ class ModelServer:
         self.models: Dict[str, ServedModel] = {}
         self._lock = threading.Lock()
         self._started = False
-
-    def _residency_event(self, kind: str, model: str, **detail) -> None:
-        """Residency transitions land in the supervisor's incident log,
-        so ``GET /incidents`` tells the whole healing *and* memory story."""
-        self.supervisor.record(kind, model, **detail)
 
     # -- loading -------------------------------------------------------
     def _calibration_batch(self, input_shape: Tuple[int, int, int]) -> np.ndarray:
@@ -265,28 +222,6 @@ class ModelServer:
         """
         rng = np.random.default_rng(0)
         return rng.normal(size=(8,) + tuple(input_shape))
-
-    def _chunk_rows(self) -> int:
-        """Largest chunk a flush sends one worker (predict's split).
-
-        Mirrors predict's process-pool chunking: flushes split across
-        ``min(worker_procs, effective cpus)`` — on a 1-core host the
-        whole bucket travels as one chunk.
-        """
-        ways = max(1, min(self.worker_procs or 1, runtime.effective_cpu_count()))
-        return -(-self.max_batch // ways)
-
-    def _pool_ring_bytes(self, input_shape: Tuple[int, int, int]) -> int:
-        """Size each worker's rings for this model's largest chunk.
-
-        A request record is one float64 chunk of ``_chunk_rows`` images
-        plus fixed headers; four of those (rounded up to 1 MiB) leave a
-        queued chunk in flight while another is being served without the
-        router ever blocking on ring backpressure in steady state.
-        """
-        image_bytes = 8 * int(np.prod(input_shape))
-        record = self._chunk_rows() * image_bytes + 256
-        return max(1 << 20, 4 * record)
 
     def _guarded(self, name: str, runner):
         """Wrap a runner in the tenant's residency guard.
@@ -339,41 +274,12 @@ class ModelServer:
             )
         stats = ServerStats()
         target = compiled if compiled is not None else model
-        pool = None
-        fallback_runner = None
-        fallback_on: tuple = ()
-        if self.worker_procs is not None:
-            # One pool per model: the compiled weights are exported
-            # into a shared image once, and every flush travels to a
-            # worker process over that model's shared-memory rings.
-            pool = runtime.WorkerPool(
-                compiled,
-                self.worker_procs,
-                ring_bytes=self._pool_ring_bytes(input_shape),
-            )
-            runner = lambda x: runtime.predict(target, x, executor=pool)  # noqa: E731
-            # Fail closed: if the pool dies mid-flush the admitted
-            # requests are re-served in-process (degraded mode) while
-            # the supervisor heals the pool.
-            fallback_runner = lambda x: runtime.predict(  # noqa: E731
-                target, x, workers=self.workers
-            )
-            fallback_on = (
-                runtime.BrokenWorkerPool,
-                runtime.WorkerCrashed,
-                RingTimeout,
-            )
-            stats.attach_workers(pool.stats_snapshot)
-        else:
-            runner = lambda x: runtime.predict(target, x, workers=self.workers)  # noqa: E731
-        # Flushes (and the degraded fallback) run inside the residency
-        # guard: promotion-if-needed before, ledger settle after.
-        runner = self._guarded(name, runner)
-        if fallback_runner is not None:
-            fallback_runner = self._guarded(name, fallback_runner)
+        # Flushes run inside the residency guard: promotion-if-needed
+        # before, ledger settle after.
+        runner = self._guarded(
+            name, lambda x: runtime.predict(target, x, workers=self.workers)
+        )
         served_meta = dict(meta or {})
-        if pool is not None:
-            served_meta["worker_procs"] = self.worker_procs
         if compiled is not None:
             # Cache observability: plan-reuse regressions (a cold
             # plan cache on every flush) and tuning-cache behaviour
@@ -420,13 +326,10 @@ class ModelServer:
                 slo_ms=slo_ms,
                 weight=weight,
                 rate=rate,
-                fallback_runner=fallback_runner,
-                fallback_on=fallback_on,
             ),
             stats=stats,
             source=source,
             meta=served_meta,
-            pool=pool,
         )
 
     def _install(self, served: ServedModel, replace: bool) -> Optional[ServedModel]:
@@ -443,19 +346,9 @@ class ModelServer:
                 raise KeyError(f"model {served.name!r} is already registered")
             self.models[served.name] = served
             started = self._started
-        if served.pool is not None:
-            self.supervisor.watch(served.name, served.pool)
         # Fleet bookkeeping: charge the tenant to the byte ledger and
-        # hand its flushes to the central scheduler. Pooled tenants are
-        # pinned (their hot state lives in worker processes; the shared
-        # image is charged as an auxiliary) and never demoted.
-        pool = served.pool
-        self.residency.admit(
-            served.name,
-            served.compiled,
-            aux_bytes=(lambda: pool.image.nbytes) if pool is not None else None,
-            pinned=pool is not None,
-        )
+        # hand its flushes to the central scheduler.
+        self.residency.admit(served.name, served.compiled)
         self.scheduler.register(served.name, served.batcher)
         if started:
             served.batcher.start()
@@ -466,12 +359,8 @@ class ModelServer:
 
         ``forget=False`` is the hot-reload path: the replacement already
         took over the tenant's ledger slot, so only the outgoing entry's
-        queue/pool are torn down here.
+        queue is drained here.
         """
-        if served.pool is not None:
-            # Unwatch first: the supervisor must not resurrect workers
-            # of a pool that is about to shut down.
-            self.supervisor.unwatch(served.pool)
         # No-op for a replaced entry (register() already detached it);
         # otherwise waits out the in-flight flush before deregistering.
         self.scheduler.unregister(served.batcher)
@@ -480,8 +369,6 @@ class ModelServer:
             # Discharge the ledger the moment the tenant is gone — the
             # freed budget is available to the survivors immediately.
             self.residency.forget(served.name)
-        if served.pool is not None:
-            served.pool.shutdown()
 
     def add_model(
         self,
@@ -513,10 +400,9 @@ class ModelServer:
         With ``replace=True`` an existing registration is hot-swapped:
         the new model compiles (and, with ``warm=True``, warms every
         flush geometry) off the serving path, then atomically takes over
-        the registry slot while the old entry's batcher drains and its
-        pool shuts down — accepted requests on either entry all
-        complete. Without ``replace``, a name collision raises
-        ``KeyError`` before any compile work happens.
+        the registry slot while the old entry's batcher drains — accepted
+        requests on either entry all complete. Without ``replace``, a name
+        collision raises ``KeyError`` before any compile work happens.
         """
         with self._lock:
             if name in self.models and not replace:
@@ -541,8 +427,7 @@ class ModelServer:
         The registry slot disappears first (new requests get 404), then
         the batcher drains whatever was already accepted, the tenant's
         ledger charge is discharged (the freed budget is immediately
-        available — no leak), and the pool shuts down, unlinking its
-        shared-memory segments.
+        available — no leak).
         """
         with self._lock:
             served = self.models.pop(name, None)
@@ -675,15 +560,6 @@ class ModelServer:
 
     def _warm_served(self, served: ServedModel) -> None:
         """Prebuild plans and arena buffers for one model's buckets."""
-        if served.pool is not None:
-            ways = max(
-                1, min(served.pool.procs, runtime.effective_cpu_count())
-            )
-            chunk_shapes = {
-                (-(-size // ways),) + served.input_shape
-                for size in bucket_sizes(self.max_batch)
-            }
-            served.pool.warmup(sorted(chunk_shapes))
         for size in bucket_sizes(self.max_batch):
             x = np.zeros((size,) + served.input_shape)
             served.batcher.runner(x)
@@ -693,49 +569,33 @@ class ModelServer:
 
         Runs one zero batch per bucket geometry through each model's
         runner, so the first real request never pays plan construction
-        or a large allocation. Models served by a worker-process pool
-        additionally warm every *worker* on every chunk geometry —
-        bucket runs dispatch least-loaded, so without the targeted pass
-        some worker's first real chunk would still build plans cold.
+        or a large allocation.
         """
         for served in list(self.models.values()):
             self._warm_served(served)
 
     def start(self) -> "ModelServer":
-        """Start the flush scheduler, every batcher + the supervisor."""
+        """Start the flush scheduler and every batcher."""
         self.scheduler.start()
         with self._lock:
             self._started = True
             models = list(self.models.values())
         for served in models:
             served.batcher.start()
-        # Pools were registered with the supervisor at install time;
-        # starting the monitor thread arms crash resurrection.
-        self.supervisor.start()
         return self
 
     def stop(self) -> None:
-        """Stop supervision, batchers (draining), scheduler, then pools.
+        """Stop every batcher (draining), then the scheduler.
 
-        Order matters three times over: the supervisor stops first so it
-        does not resurrect workers of pools being shut down; each batcher
-        drains its queue inline (quiescing its in-flight scheduled flush)
-        before the scheduler's dispatch threads stop; and the drain still
-        needs live workers to serve the leftover flushes, so each model's
-        pool shuts down last. Pool shutdown unlinks the shared-memory
-        segments — nothing is left in ``/dev/shm`` afterwards.
+        Each batcher drains its queue inline (quiescing its in-flight
+        scheduled flush) before the scheduler's dispatch threads stop.
         """
-        self.supervisor.stop()
         with self._lock:
             self._started = False
             models = list(self.models.values())
         for served in models:
             served.batcher.stop()
         self.scheduler.stop()
-        for served in models:
-            if served.pool is not None:
-                self.supervisor.unwatch(served.pool)
-                served.pool.shutdown()
 
     def __enter__(self) -> "ModelServer":
         return self.start()
@@ -797,5 +657,5 @@ class ModelServer:
         return (
             f"ModelServer(models={sorted(self.models)}, "
             f"max_batch={self.max_batch}, max_latency_ms={self.max_latency_ms}, "
-            f"workers={self.workers}, worker_procs={self.worker_procs})"
+            f"workers={self.workers})"
         )

@@ -56,18 +56,12 @@ class ServerStats:
         #: (``queue_full`` — admission control shed them with a 429;
         #: ``slo`` — their deadline expired while queued, shed with 503).
         self.shed: Dict[str, int] = {}
-        #: Flushes (and the requests they carried) that a dead worker
-        #: pool failed and the batcher re-served through the in-process
-        #: fallback runner instead of surfacing the error.
-        self.degraded_flushes = 0
-        self.degraded_requests = 0
         #: Cumulative (never-windowed) latency histogram counts, one per
         #: LATENCY_BUCKETS bound, Prometheus semantics via
         #: :meth:`latency_histogram`.
         self._bucket_counts = [0] * len(LATENCY_BUCKETS)
         self._latency_sum = 0.0
         self._caches: Dict[str, Callable[[], dict]] = {}
-        self._workers_fn: Optional[Callable[[], dict]] = None
         self._streams_fn: Optional[Callable[[], dict]] = None
 
     # -- cache observability -------------------------------------------
@@ -83,20 +77,6 @@ class ServerStats:
         """
         with self._lock:
             self._caches[name] = snapshot
-
-    def attach_workers(self, snapshot: Callable[[], dict]) -> None:
-        """Expose a worker pool's per-process view on this snapshot.
-
-        ``snapshot`` is a zero-arg callable returning the pool's
-        JSON-ready breakdown (per-worker req/s, ring occupancy,
-        shared-image attach/copy counters —
-        :meth:`~repro.runtime.workerpool.WorkerPool.stats_snapshot`).
-        Shown as the ``workers`` block of ``GET /stats``, which is how
-        an operator verifies every worker attached the shared weight
-        image (``copied`` stays 0) and traffic spreads across processes.
-        """
-        with self._lock:
-            self._workers_fn = snapshot
 
     def attach_streams(self, snapshot: Callable[[], dict]) -> None:
         """Expose the streaming front end's view on this snapshot.
@@ -134,9 +114,7 @@ class ServerStats:
         """Time one request sat queued before its flush started.
 
         Splitting this out of the end-to-end latency makes the snapshot
-        auditable: end-to-end p50 ≈ queue-wait p50 + flush time, so a
-        percentile that silently excluded ring/worker time (measured
-        inside the flush) would show up as an impossible gap.
+        auditable: end-to-end p50 ≈ queue-wait p50 + flush time.
         """
         with self._lock:
             self._queue_waits.append(max(0.0, seconds))
@@ -157,12 +135,6 @@ class ServerStats:
         """
         with self._lock:
             self.shed[reason] = self.shed.get(reason, 0) + count
-
-    def record_degraded(self, requests: int) -> None:
-        """One flush the worker pool failed but the fallback served."""
-        with self._lock:
-            self.degraded_flushes += 1
-            self.degraded_requests += requests
 
     # -- derived numbers -----------------------------------------------
     @property
@@ -251,7 +223,6 @@ class ServerStats:
             "batches": self.batches,
             "errors": self.errors,
             "shed": dict(self.shed),
-            "degraded_flushes": self.degraded_flushes,
             "mean_batch": round(self.mean_batch, 3),
             "batch_histogram": {str(k): v for k, v in self.batch_histogram.items()},
             "requests_per_second": round(self.requests_per_second, 2),
@@ -263,12 +234,9 @@ class ServerStats:
             report["queue_depth"] = queue_depth
         with self._lock:
             caches = dict(self._caches)
-            workers_fn = self._workers_fn
             streams_fn = self._streams_fn
         if caches:
             report["caches"] = {name: fn() for name, fn in caches.items()}
-        if workers_fn is not None:
-            report["workers"] = workers_fn()
         if streams_fn is not None:
             report["streams"] = streams_fn()
         return report

@@ -1,10 +1,10 @@
 """Tests for the int8 execution path (repro.runtime.quant).
 
-Covers the eager ``"quant"`` engine backend (equivalence to float within
-the analytic quantization error bound, exact int32 accumulation), the
-compiled quantized pipeline across {per-tensor, per-kernel} x {dense,
-SPM} configurations, calibration determinism, per-layer float fallback,
-and the serving plumbing (quantized bundle end to end is covered in
+Covers the weight/activation quantizers, exact int32 accumulation of
+the float-carried GEMM, the compiled quantized pipeline across
+{per-tensor, per-kernel} x {dense, SPM} configurations, calibration
+determinism, per-layer float fallback, and the serving plumbing
+(quantized bundle end to end is covered in
 tests/serving/test_server.py).
 """
 
@@ -14,13 +14,10 @@ import pytest
 from repro import runtime
 from repro.core import PCNNConfig, PCNNPruner, SPMCodebook, encode_layer, enumerate_patterns, project_to_patterns
 from repro.models import patternnet, vgg16_cifar
-from repro.nn import Tensor
-from repro.nn.functional import conv2d, im2col
 from repro.runtime import QuantizationConfig
 from repro.runtime.quant import (
     DequantizeOp,
     QuantConvOp,
-    QuantizedBackend,
     QuantizeOp,
     int8_gemm_int32,
     quantize_activation_codes,
@@ -28,32 +25,6 @@ from repro.runtime.quant import (
     quantize_weight_codes,
     resolve_quantization,
 )
-
-
-def _quant_error_bound(x, weight, config, stride=1, padding=1):
-    """Analytic elementwise bound on |quant conv - float conv|.
-
-    Rounding puts every dequantized operand within half a scale step of
-    its float value, so for output window w and filter f:
-    ``|err| <= sum_k (|a_k| sw_f/2 + |w_fk| sa/2 + sw_f sa/4)``.
-    """
-    qmax = config.qmax
-    w_mat = weight.reshape(weight.shape[0], -1)
-    if config.granularity == "per_kernel":
-        peaks = np.abs(w_mat).max(axis=1)
-    else:
-        peaks = np.full(w_mat.shape[0], np.abs(w_mat).max())
-    sw = np.where(peaks > 0, peaks / qmax, 1.0)
-    sa = np.abs(x).max() / qmax
-    cols, _ = im2col(x, weight.shape[2:], stride, padding)
-    k = w_mat.shape[1]
-    abs_a = np.abs(cols).sum(axis=1)  # (windows,)
-    abs_w = np.abs(w_mat).sum(axis=1)  # (C_out,)
-    return (
-        abs_a[:, None] * sw[None, :] / 2
-        + abs_w[None, :] * sa / 2
-        + k * sw[None, :] * sa / 4
-    )
 
 
 class TestQuantizers:
@@ -141,73 +112,6 @@ class TestExactAccumulation:
         # float32 is exact while accumulators stay within 2^24.
         assert np.abs(exact).max() < 2**24
         np.testing.assert_array_equal(carried32, exact.astype(np.float32))
-
-    def test_backend_accumulation_is_integer_exact(self):
-        """Eager quant backend == hand-rolled int32 datapath, bit for bit."""
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(1, 4, 8, 8))
-        w = rng.normal(size=(6, 4, 3, 3))
-        config = QuantizationConfig()
-        out = runtime.dispatch(x, w, padding=1, backend="quant")
-        w_codes, w_scales, _ = quantize_weight_codes(w.reshape(6, -1), config)
-        x_codes, a_scale = quantize_activation_codes(x, config)
-        cols, (oh, ow) = im2col(x_codes, (3, 3), 1, 1)
-        acc = int8_gemm_int32(cols.astype(np.int8), w_codes.T)
-        ref = (acc.astype(np.float64) * (w_scales[None, :] * a_scale)).reshape(
-            1, oh, ow, 6
-        ).transpose(0, 3, 1, 2)
-        np.testing.assert_array_equal(out, ref)
-
-
-class TestQuantizedBackend:
-    @pytest.mark.parametrize("granularity", ["per_kernel", "per_tensor"])
-    @pytest.mark.parametrize("encoded", [False, True], ids=["dense", "spm"])
-    def test_within_error_bound(self, granularity, encoded):
-        """Backend output differs from float by at most the analytic bound."""
-        rng = np.random.default_rng(6)
-        config = QuantizationConfig(granularity=granularity)
-        weight = rng.normal(size=(8, 6, 3, 3))
-        spm = None
-        if encoded:
-            patterns = enumerate_patterns(2)[:8]
-            weight = project_to_patterns(weight, patterns)
-            spm = encode_layer(weight, SPMCodebook(patterns))
-        x = rng.normal(size=(2, 6, 9, 9))
-        reference = conv2d(Tensor(x), Tensor(weight), padding=1).data
-        out = _dispatch_with(QuantizedBackend(config), x, weight, spm)
-        bound = _quant_error_bound(x, weight, config)
-        n, c_out, oh, ow = out.shape
-        diff = np.abs(out - reference).transpose(0, 2, 3, 1).reshape(-1, c_out)
-        assert (diff <= bound + 1e-9).all()
-
-    def test_registered_and_not_auto_selected(self):
-        assert "quant" in runtime.available_backends()
-        rng = np.random.default_rng(7)
-        request = runtime.ConvRequest(
-            x=rng.normal(size=(1, 4, 6, 6)), weight=rng.normal(size=(8, 4, 3, 3))
-        )
-        assert runtime.select_backend(request) != "quant"
-
-    def test_epilogue_bias_relu(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(1, 3, 6, 6))
-        w = rng.normal(size=(4, 3, 3, 3))
-        bias = rng.normal(size=(4,))
-        out = runtime.dispatch(x, w, bias=bias, padding=1, backend="quant")
-        plain = runtime.dispatch(x, w, padding=1, backend="quant")
-        np.testing.assert_allclose(out, plain + bias[None, :, None, None], atol=1e-12)
-
-
-def _dispatch_with(backend, x, weight, spm):
-    """Run a one-off backend instance through the engine registry."""
-    runtime.register_backend(backend, overwrite=True)
-    try:
-        return runtime.dispatch(
-            x, None if spm is not None else weight, encoded=spm, padding=1,
-            backend="quant",
-        )
-    finally:
-        runtime.register_backend(QuantizedBackend(), overwrite=True)
 
 
 def _models():

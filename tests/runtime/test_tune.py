@@ -297,3 +297,17 @@ class TestArchPerLayerCost:
         )
         assert wide.macs == 2 * small.macs  # double-width contraction
         assert wide.latency_ms >= small.latency_ms
+
+
+class TestEffectiveCpuCount:
+    """The CPU count that keys the tuning cache and sizes predict lanes."""
+
+    def test_env_override_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TUNE_CPUS", "3")
+        assert runtime.effective_cpu_count() == 3
+
+    def test_invalid_override_falls_back_to_affinity(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TUNE_CPUS", "zero")
+        assert runtime.effective_cpu_count() >= 1
+        monkeypatch.setenv("REPRO_TUNE_CPUS", "-2")
+        assert runtime.effective_cpu_count() >= 1

@@ -3,9 +3,7 @@
 Covers the overload contract (bounded queue -> ``QueueFull`` with a
 ``Retry-After`` hint, SLO-blown requests shed before batch assembly),
 the typed ``BatcherClosed`` rejection on a stopped batcher, client-side
-``timeout=`` expiring while a request is queued vs in-flight, and the
-degraded-mode fallback that re-serves a flush in-process when the
-worker pool fails it.
+``timeout=`` expiring while a request is queued vs in-flight.
 """
 
 import threading
@@ -15,7 +13,6 @@ from concurrent.futures import TimeoutError as FutureTimeout
 import numpy as np
 import pytest
 
-from repro.runtime import BrokenWorkerPool
 from repro.serving import Batcher, BatcherClosed, QueueFull, SLOExpired
 
 
@@ -143,51 +140,3 @@ class TestClientTimeouts:
                 future.result(timeout=0.05)
             slow.release.set()
             np.testing.assert_array_equal(future.result(timeout=10), np.ones(2) * 2.0)
-
-
-class TestDegradedFallback:
-    def test_pool_error_reroutes_through_fallback(self):
-        def broken_pool(x):
-            raise BrokenWorkerPool("every worker is dead")
-
-        batcher = Batcher(
-            broken_pool,
-            max_batch=4,
-            max_latency_ms=1.0,
-            fallback_runner=double_runner,
-            fallback_on=(BrokenWorkerPool,),
-        )
-        with batcher:
-            out = batcher(np.arange(4.0), timeout=10)
-        np.testing.assert_array_equal(out, np.arange(4.0) * 2.0)
-        assert batcher.stats.degraded_flushes == 1
-        assert batcher.stats.degraded_requests == 1
-        assert batcher.stats.errors == 0
-
-    def test_unlisted_errors_still_fail_the_batch(self):
-        def buggy(x):
-            raise ValueError("not a pool failure")
-
-        batcher = Batcher(
-            buggy,
-            max_batch=4,
-            max_latency_ms=1.0,
-            fallback_runner=double_runner,
-            fallback_on=(BrokenWorkerPool,),
-        )
-        with batcher:
-            future = batcher.submit(np.zeros(2))
-            with pytest.raises(ValueError, match="not a pool failure"):
-                future.result(timeout=10)
-        assert batcher.stats.degraded_flushes == 0
-        assert batcher.stats.errors == 1
-
-    def test_no_fallback_configured_propagates(self):
-        def broken_pool(x):
-            raise BrokenWorkerPool("every worker is dead")
-
-        batcher = Batcher(broken_pool, max_batch=4, max_latency_ms=1.0)
-        with batcher:
-            future = batcher.submit(np.zeros(2))
-            with pytest.raises(BrokenWorkerPool):
-                future.result(timeout=10)

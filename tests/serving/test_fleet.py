@@ -12,7 +12,9 @@ ISSUE 8 acceptance, unit-sized:
   +/-15% of 3:1;
 - per-tenant rate quotas shed with HTTP 429 kind ``quota_exceeded``;
 - DELETE /models/<name> discharges the tenant's ledger bytes
-  immediately (no leak).
+  immediately (no leak);
+- the HTTP surface is in-process only: /incidents logs residency
+  transitions, /healthz reads ok, and no worker route or metric exists.
 """
 
 import json
@@ -162,7 +164,7 @@ class TestResidency:
             fleet = stats["_fleet"]["residency"]
             assert fleet["budget_bytes"] == int(0.8 * 2**20)
             assert fleet["charged_bytes"] <= fleet["budget_bytes"]
-            kinds = {i["kind"] for i in server.supervisor.incidents()}
+            kinds = {i["kind"] for i in server.incidents.incidents()}
             assert "tenant_demoted" in kinds
 
     def test_repromotion_reuses_lowered_ir_no_recompile(self):
@@ -256,10 +258,14 @@ class TestQuotas:
     def test_token_bucket_refills(self):
         batcher = Batcher(lambda x: x, max_batch=2, max_latency_ms=0.1, rate=50.0)
         with batcher:
-            for _ in range(50):
-                batcher.submit(np.zeros((2,))).result(timeout=5)
+            # Submit back to back: waiting on each result would give a
+            # loaded box time to earn a token (one per 20 ms) before
+            # the 51st submit.
+            futures = [batcher.submit(np.zeros((2,))) for _ in range(50)]
             with pytest.raises(QuotaExceeded):
                 batcher.submit(np.zeros((2,)))
+            for future in futures:
+                future.result(timeout=5)
             time.sleep(0.1)  # ~5 tokens earned back
             batcher.submit(np.zeros((2,))).result(timeout=5)
 
@@ -289,6 +295,7 @@ class TestFleetHTTP:
         assert isinstance(row["bytes"], int)
         for key in ("resident", "demotions", "promotions", "evictions"):
             assert key in row
+        assert "pinned" not in row
         assert "memory" in row  # full per-tenant byte breakdown
 
     def test_stats_fleet_block(self, fleet_stack):
@@ -330,6 +337,52 @@ class TestFleetHTTP:
         assert "repro_fleet_charged_bytes" in text
         assert 'repro_shed_total{model="limited",reason="quota"}' in text
         assert 'repro_tenant_resident_bytes{model="hot"}' in text
+
+    def test_incidents_log_a_forced_demotion(self, fleet_stack):
+        server, url = fleet_stack
+        assert server.residency.demote("hot")
+        try:
+            status, body = get_json(f"{url}/incidents")
+        finally:
+            server.predict(np.zeros((3, 16, 16)), "hot", timeout=30)  # re-promote
+        assert status == 200
+        assert set(body) == {"incidents"}
+        demotions = [
+            row for row in body["incidents"]
+            if row["kind"] == "tenant_demoted" and row["model"] == "hot"
+        ]
+        assert demotions
+        assert "freed_bytes" in demotions[-1]["detail"]
+
+    def test_healthz_reads_ok(self, fleet_stack):
+        server, url = fleet_stack
+        status, body = get_json(f"{url}/healthz")
+        assert status == 200
+        assert body["status"] == "ok"
+        assert set(body["models"]) >= {"hot", "limited"}
+
+    def test_workers_route_is_a_typed_404(self, fleet_stack):
+        server, url = fleet_stack
+        with pytest.raises(urllib.error.HTTPError) as info:
+            get_json(f"{url}/workers")
+        assert info.value.code == 404
+        assert json.load(info.value)["error"]["kind"] == "not_found"
+
+    def test_metrics_carry_no_process_tier_families(self, fleet_stack):
+        server, url = fleet_stack
+        with urllib.request.urlopen(f"{url}/metrics", timeout=30) as response:
+            text = response.read().decode()
+        names = {
+            line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        }
+        assert "repro_requests_total" in names
+        stale = sorted(
+            name for name in names
+            if name.startswith(("repro_worker", "repro_degraded_"))
+            or name == "repro_pool_degraded"
+        )
+        assert stale == []
 
     def test_delete_model_releases_ledger_bytes(self, fleet_stack):
         server, url = fleet_stack
