@@ -242,13 +242,15 @@ class Conv2d(Module):
     def inference_params(self) -> dict:
         """Fold-ready snapshot of this conv for the compiled pipeline.
 
-        Returns a dict with ``weight`` (mask applied), ``bias``,
-        ``encoded``, ``stride``, ``padding`` and ``backend`` — everything
+        Returns a dict with ``weight`` (mask applied; ``None`` when an
+        SPM encoding is attached, which then is the only weight copy the
+        compiled layer needs), ``bias``, ``encoded``, ``stride``,
+        ``padding`` and ``backend`` — everything
         :func:`repro.runtime.compile_model` needs to lower the layer
         without reaching into private attributes.
         """
         return {
-            "weight": self.effective_weight(),
+            "weight": self.effective_weight() if self._encoded is None else None,
             "bias": self.bias.data if self.bias is not None else None,
             "encoded": self._encoded,
             "stride": self.stride,

@@ -76,11 +76,11 @@ __all__ = ["compile_model", "CompiledModel", "fold_batchnorm"]
 SLAB_BYTES = 64 * 2**20
 
 # Serialises the lazy builds of derived GEMM operands (prepare(), the
-# decoded SPM weight, Winograd and int8 operands). Lanes of one predict
+# column-GEMM weight, Winograd and int8 operands). Lanes of one predict
 # call run the same ops on several threads; without the lock each lane
 # would build — and its bound thunks pin — a private copy of every operand.
 # Builders check their memo, then re-check under the lock (reentrant:
-# a Winograd build decodes the SPM weight it transforms).
+# bind() may prepare() while another builder holds it).
 _derive_lock = threading.RLock()
 
 
@@ -153,6 +153,12 @@ def _cast_encoded(encoded, dtype):
 def _arr_nbytes(*arrays: Optional[np.ndarray]) -> int:
     """Summed ``nbytes`` over the arrays that exist (None-tolerant)."""
     return sum(int(a.nbytes) for a in arrays if a is not None)
+
+
+def _nhwc_rows(weight: np.ndarray) -> np.ndarray:
+    """``(C_out, C_in, KH, KW)`` weights as the ``(KH*KW*C_in, C_out)``
+    matrix a channels-last im2col multiplies by (a view when possible)."""
+    return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1).T
 
 
 def _cast(array: Optional[np.ndarray], dtype) -> Optional[np.ndarray]:
@@ -317,12 +323,15 @@ class ConvOp(_InferenceOp):
     geometry — and mutated by later passes: ``fold_bn`` rewrites the
     parameters, ``fuse_epilogues`` sets ``relu``, ``tune`` picks
     ``use_gather``/``slab_bytes``, ``link_halos`` sets ``halo``. The
-    *derived* GEMM state (``weight_t`` — the ``(KH*KW*C_in[+1], C_out)``
-    NHWC operand with the bias folded in as an extra row against an
-    all-ones column — plus the :class:`Epilogue`) is built by
-    :meth:`prepare`, which the ``finalize`` pass runs eagerly and
-    :meth:`bind` on demand; a pass that changes source parameters calls
-    :meth:`invalidate` to force a rebuild.
+    *derived* state is built by :meth:`prepare` (the :class:`Epilogue`,
+    and a dense column-GEMM conv's operand), which the ``finalize`` pass
+    runs eagerly and :meth:`bind` on demand, and by the schedule that
+    runs: ``weight_t`` — the ``(KH*KW*C_in[+1], C_out)`` NHWC column-GEMM
+    operand with the bias folded in as an extra row against an all-ones
+    column, decoded from SPM on first use — or the Winograd operand
+    ``U``, or the grouped gather operand. Each op holds only the operand
+    its schedule multiplies by; a pass that changes source parameters
+    calls :meth:`invalidate` to force a rebuild.
 
     Two schedules: Winograd F(m x m, 3x3) (``wino_m``) and the column
     GEMM. The column GEMM unfolds the input with im2col and multiplies
@@ -355,11 +364,10 @@ class ConvOp(_InferenceOp):
     slab_bytes: Optional[int] = None  # tuned per-layer workspace budget
     schedule: Optional[object] = None  # ConvSchedule annotation (tune pass)
     halo: Optional[Tuple[str, int]] = None  # (consumer tag, consumer padding)
-    # Derived GEMM state, built by prepare():
+    # Derived state (prepare() and the schedule's operand builders):
     weight_t: Optional[np.ndarray] = field(default=None, repr=False)
     bias_rows: int = 0  # 1 when the bias is folded into weight_t, else 0
     epilogue: Optional[Epilogue] = field(default=None, repr=False)
-    _decoded_t: Optional[np.ndarray] = field(default=None, repr=False)
     _grouped_t: Optional[np.ndarray] = field(default=None, repr=False)
     _wino_u: Optional[np.ndarray] = field(default=None, repr=False)
     _prepared: bool = field(default=False, repr=False)
@@ -373,47 +381,36 @@ class ConvOp(_InferenceOp):
 
     # -- derived-state lifecycle --------------------------------------
     def prepare(self) -> None:
-        """Build the GEMM operands from the current source parameters.
+        """Cast the source parameters and build the epilogue.
 
-        Idempotent; run eagerly by the ``finalize`` pass and lazily by
-        :meth:`bind` (measurement clones execute before finalize).
+        A dense conv on the column GEMM also gets its ``weight_t`` here;
+        every other operand is built by the schedule that multiplies by
+        it. Idempotent; run eagerly by the ``finalize`` pass and lazily
+        by :meth:`bind` (measurement clones execute before finalize).
         """
         if self._prepared:
             return
         with _derive_lock:
             if self._prepared:
                 return
-            dtype = self.dtype
-            bias = _cast(self.bias, dtype)
-            self.bias_rows = 0
+            bias = _cast(self.bias, self.dtype)
             if self.encoded is not None:
-                self.encoded = _cast_encoded(self.encoded, dtype)
-                self.weight_t = None
-                if not self.use_gather and bias is not None:
-                    self.bias_rows = 1  # the lazily decoded dense weight appends it
-            else:
-                weight = _cast(self.weight, dtype)
-                weight_t = np.ascontiguousarray(
-                    weight.transpose(0, 2, 3, 1).reshape(self.c_out, -1).T
-                )
-                if bias is not None:
-                    # Append the bias as a GEMM row; the column buffer carries
-                    # a matching all-ones column, so the bias add costs one
-                    # extra GEMM row instead of a pass over the output.
-                    weight_t = np.ascontiguousarray(
-                        np.vstack([weight_t, bias.astype(weight_t.dtype)[None, :]])
-                    )
-                    self.bias_rows = 1
-                self.weight_t = weight_t
+                self.encoded = _cast_encoded(self.encoded, self.dtype)
+            # The column-GEMM operand appends the bias as a GEMM row; the
+            # column buffer carries a matching all-ones column, so the
+            # bias add costs one extra GEMM row instead of a pass over
+            # the output. The gather operand has no such row.
+            self.bias_rows = int(bias is not None and not self.use_gather)
             self.epilogue = Epilogue(bias=bias, relu=self.relu)
             self._prepared = True
+            if self.encoded is None and not self.wino_m:
+                self._operand_weight_t()
 
     def invalidate(self) -> None:
         """Drop derived GEMM state after a pass mutated source params."""
         self.weight_t = None
         self.bias_rows = 0
         self.epilogue = None
-        self._decoded_t = None
         self._grouped_t = None
         self._wino_u = None
         self._prepared = False
@@ -425,9 +422,7 @@ class ConvOp(_InferenceOp):
         return total
 
     def derived_nbytes(self) -> int:
-        total = _arr_nbytes(
-            self.weight_t, self._decoded_t, self._grouped_t, self._wino_u
-        )
+        total = _arr_nbytes(self.weight_t, self._grouped_t, self._wino_u)
         if self.encoded is not None:
             total += self.encoded.cached_nbytes
         return total
@@ -507,6 +502,15 @@ class ConvOp(_InferenceOp):
         accumulator itself when the dtypes agree, so the epilogue runs
         in place)."""
         return _out_buffer(arena, self.tag, self.halo, shape, self._out_dtype(acc_dtype))
+
+    def _acc(self, arena: Arena, shape, acc_dtype) -> np.ndarray:
+        """The full-size accumulator: this op's ``:out`` buffer when the
+        activation lands there in the same dtype (see :meth:`_dest`),
+        else the shared ``acc`` slab — dead once the epilogue has moved
+        it into its destination."""
+        if self.halo is None and self._out_dtype(acc_dtype) == acc_dtype:
+            return arena.take(f"{self.tag}:out", shape, acc_dtype)
+        return arena.scratch("acc", shape, acc_dtype)
 
     def _epilogue(self, acc: np.ndarray, dest: np.ndarray) -> None:
         """Finish one accumulator tile into ``dest`` (``acc`` may be
@@ -591,23 +595,18 @@ class ConvOp(_InferenceOp):
 
         bands = self._bands(n, oh, ow * (k + extra) * dtype.itemsize)
         band_windows = max((i1 - i0) * (r1 - r0) * ow for i0, i1, r0, r1 in bands)
-        # The ones column multiplying an appended bias row is set by
-        # take_filled exactly once; the fill rewrites only the first k
-        # columns each call.
-        cols_buf = arena.take_filled(
-            f"{self.tag}:cols", (band_windows, k + extra), dtype, 1.0
-        )
+        # Shared slab: the ones column multiplying an appended bias row
+        # is rewritten with every band, like the k columns before it.
+        cols_buf = arena.scratch("cols", (band_windows, k + extra), dtype)
         partial = None
         if not single:
-            partial = arena.take(
-                f"{self.tag}:partial", (band_windows, c_out), np.float32
-            )
+            partial = arena.scratch("partial", (band_windows, c_out), np.float32)
         shape = (n, oh, ow, c_out)
         dest = self._dest(arena, shape, acc_dtype)
         if bands[0][3] - bands[0][2] == oh:
-            acc = arena.take(f"{self.tag}:out", shape, acc_dtype)
+            acc = self._acc(arena, shape, acc_dtype)
         else:
-            acc = arena.take(f"{self.tag}:tile", (band_windows, c_out), acc_dtype)
+            acc = arena.scratch("tile", (band_windows, c_out), acc_dtype)
         acc_mat = acc.reshape(-1, c_out)
         bound = []
         for i0, i1, r0, r1 in bands:
@@ -635,6 +634,7 @@ class ConvOp(_InferenceOp):
                 (
                     (slice(i0, i1), slice(h0, h1 + kh - 1)),
                     cols[:, :k],
+                    cols[:, k:] if extra else None,
                     copies,
                     cols,
                     tile,
@@ -661,7 +661,9 @@ class ConvOp(_InferenceOp):
                 if x_in.base is not pad:
                     interior[...] = x_in
                 src = pad
-            for window, cols_k, copies, cols, tile, tile4, dest_band, part in bound:
+            for window, cols_k, ones, copies, cols, tile, tile4, dest_band, part in bound:
+                if ones is not None:
+                    ones.fill(1.0)
                 if copies is None:
                     im2col_nhwc(src[window], kernel, stride, out=cols_k)
                 else:
@@ -674,28 +676,33 @@ class ConvOp(_InferenceOp):
         return thunk
 
     def _operand_weight_t(self) -> np.ndarray:
-        """The ``(K[+1], C_out)`` GEMM operand, decoding SPM lazily."""
-        if self.weight_t is not None:
-            return self.weight_t
-        return self._decoded_weight_t()
-
-    def _decoded_weight_t(self) -> np.ndarray:
-        """Memoized NHWC GEMM weight decoded from an SPM encoding (bias
-        row appended when the layer carries one, as for dense)."""
-        if self._decoded_t is None:
+        """Memoized ``(K[+1], C_out)`` column-GEMM operand (``weight_t``),
+        bias row appended when the layer carries one."""
+        if self.weight_t is None:
             with _derive_lock:
-                if self._decoded_t is None:
-                    decoded = (
-                        self.encoded.decoded_weight()
-                        .transpose(0, 2, 3, 1)
-                        .reshape(self.c_out, -1)
-                        .T
-                    )
+                if self.weight_t is None:
+                    rows = self._weight_rows()
                     if self.bias_rows:
-                        bias = self.epilogue.bias.astype(decoded.dtype)
-                        decoded = np.vstack([decoded, bias[None, :]])
-                    self._decoded_t = np.ascontiguousarray(decoded)
-        return self._decoded_t
+                        bias = self.epilogue.bias.astype(rows.dtype)
+                        rows = np.vstack([rows, bias[None, :]])
+                    self.weight_t = np.ascontiguousarray(rows)
+        return self.weight_t
+
+    def _weight_rows(self) -> np.ndarray:
+        """The ``(KH*KW*C_in, C_out)`` NHWC weight matrix, fresh from the
+        source parameters: SPM decodes transiently, never memoized, so an
+        operand built from it is the only dense copy the op keeps."""
+        from ..core import spm
+
+        if self.encoded is not None:
+            return _nhwc_rows(spm.decode_layer(self.encoded))
+        return _nhwc_rows(_cast(self.weight, self.dtype))
+
+    def _param_dtype(self) -> np.dtype:
+        """Dtype of the (cast) weights every operand is built in."""
+        if self.encoded is not None:
+            return self.encoded.values.dtype
+        return np.dtype(self.dtype) if self.dtype is not None else self.weight.dtype
 
     def _grouped_operand(self) -> np.ndarray:
         """Memoized ``(|P| * n * C_in, C_out)`` grouped pattern weights
@@ -730,10 +737,9 @@ class ConvOp(_InferenceOp):
             with _derive_lock:
                 u = self._wino_u
                 if stale(u):
-                    k = 9 * self.c_in
-                    w9 = np.ascontiguousarray(
-                        self._operand_weight_t()[:k]
-                    ).reshape(9, self.c_in, self.c_out)
+                    w9 = np.ascontiguousarray(self._weight_rows()).reshape(
+                        9, self.c_in, self.c_out
+                    )
                     u = self._wino_u = wino_weight_transform(w9, m, dtype)
         return u
 
@@ -780,11 +786,11 @@ class ConvOp(_InferenceOp):
         c, c_out = self.c_in, self.c_out
         h, w = x.shape[1], x.shape[2]
         p = self.padding
-        operand = self._operand_weight_t()
-        gemm_dtype = np.result_type(x.dtype, operand.dtype)
+        param_dtype = self._param_dtype()
+        gemm_dtype = np.result_type(x.dtype, param_dtype)
         _, bt, at = wino_transforms(m, gemm_dtype)
         u = self._wino_operand(m, gemm_dtype)
-        bias = operand[9 * c] if self.bias_rows else None
+        bias = self.epilogue.bias.astype(param_dtype) if self.bias_rows else None
         # Tile extraction needs m*t + 2 rows/cols; for even outputs this
         # is exactly the conv's own padded extent, so the halo-fused
         # ``:pad`` buffer doubles as the tile source. Odd outputs read
@@ -801,20 +807,16 @@ class ConvOp(_InferenceOp):
         )
         tile_src = tiles.transpose(3, 4, 0, 1, 2, 5)
         pcount = n * th * tw
-        d = arena.take(f"{self.tag}:wd", (f, pcount, c), gemm_dtype)
+        d = arena.scratch("wd", (f, pcount, c), gemm_dtype)
         d6 = d.reshape(span, span, n, th, tw, c)
-        v = arena.take(f"{self.tag}:wv", (f, pcount, c), gemm_dtype)
-        mmat = arena.take(f"{self.tag}:wm", (f, pcount, c_out), gemm_dtype)
-        ybuf = arena.take(f"{self.tag}:wy", (m * m, pcount * c_out), gemm_dtype)
+        v = arena.scratch("wv", (f, pcount, c), gemm_dtype)
+        mmat = arena.scratch("wm", (f, pcount, c_out), gemm_dtype)
+        ybuf = arena.scratch("wy", (m * m, pcount * c_out), gemm_dtype)
         dest = self._dest(arena, (n, oh, ow, c_out), gemm_dtype)
         if m * th == oh and m * tw == ow:
-            out_full = out = arena.take(
-                f"{self.tag}:out", (n, oh, ow, c_out), gemm_dtype
-            )
+            out_full = out = self._acc(arena, (n, oh, ow, c_out), gemm_dtype)
         else:
-            out_full = arena.take(
-                f"{self.tag}:wout", (n, m * th, m * tw, c_out), gemm_dtype
-            )
+            out_full = arena.scratch("wout", (n, m * th, m * tw, c_out), gemm_dtype)
             out = out_full[:, :oh, :ow, :]
         out6 = out_full.reshape(n, th, m, tw, m, c_out)
         y_src = ybuf.reshape(m, m, n, th, tw, c_out).transpose(2, 3, 0, 4, 1, 5)
@@ -1295,8 +1297,11 @@ class CompiledModel:
 
         ``parameters`` (weights/codes — survives demotion and eviction),
         ``derived`` (rebuildable GEMM operands and memoized gathers),
-        ``plans`` (plan-cache workspace charge) and ``arenas`` (scratch
-        buffers across every thread that has executed the model).
+        ``plans`` (the cached plan objects themselves: compiled thunks
+        draw their workspace from the arenas, so the implied workspace
+        :attr:`ExecutionPlan.nbytes` charges the eager engine's LRU
+        would count it twice) and ``arenas`` (activation buffers and
+        scratch slabs across every thread that has executed the model).
         """
         parameters = 0
         derived = 0
@@ -1308,7 +1313,7 @@ class CompiledModel:
         return {
             "parameters": parameters,
             "derived": derived,
-            "plans": self.plans.nbytes,
+            "plans": self.plans.object_nbytes,
             "arenas": sum(state.arena.nbytes for state in states),
             "threads": len(states),
         }
@@ -1328,7 +1333,8 @@ class CompiledModel:
         freed. Safe only while no request is executing (the fleet's
         residency manager serialises this against flushes).
         """
-        freed = self.plans.clear()
+        freed = self.plans.object_nbytes
+        self.plans.clear()
         with self._states_lock:
             states = list(self._states)
         for state in states:
@@ -1368,6 +1374,13 @@ class CompiledModel:
         its real input (binding runs the ops once, so that call costs
         one forward) and keeps the thunk list; later calls replay it —
         no plan-cache lookups, no arena dict hits, no per-op branching.
+
+        Thunks hold views of the thread's shared scratch slabs. A bind
+        that grows a slab after earlier thunks took views of it keeps no
+        trace, and drops the thread's other traces: those views would
+        keep the replaced, smaller slab alive. Every geometry then binds
+        again on its next call, against slabs that are already large
+        enough.
         """
         x = np.asarray(x)
         if x.ndim != 4:
@@ -1379,7 +1392,12 @@ class CompiledModel:
         key = (x.shape, np.dtype(x.dtype))
         thunks = state.traces.get(key)
         if thunks is None:
-            state.traces[key], out = _bind_chain(self.ops, x, state)
+            growths = state.arena.growths
+            thunks, out = _bind_chain(self.ops, x, state)
+            if state.arena.growths == growths:
+                state.traces[key] = thunks
+            else:
+                state.traces.clear()
         else:
             out = _replay(thunks, x)
         if geometry_key not in self._geometry:
@@ -1536,6 +1554,15 @@ class CompiledModel:
             lines.append("  tuning: " + self.tuning.describe().replace("\n", "\n  "))
         if self.quantization is not None:
             lines.append("  quantization: " + self.quantization.describe())
+        memory = self.memory_report()
+        lines.append(
+            "  memory: "
+            + " / ".join(
+                f"{key} {memory[key] / 2**20:.1f} MiB"
+                for key in ("parameters", "derived", "arenas")
+            )
+            + f", {memory['threads']} thread(s)"
+        )
         return "\n".join(lines)
 
     def __repr__(self) -> str:

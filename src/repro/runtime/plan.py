@@ -18,6 +18,7 @@ weight mutation or object identity reuse.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -172,6 +173,14 @@ class PlanCache:
     def nbytes(self) -> int:
         """Summed implied-workspace charge of the cached plans."""
         return self.stats.bytes
+
+    @property
+    def object_nbytes(self) -> int:
+        """Bytes of the cached plan objects themselves — what the cache
+        holds when the workspace lives elsewhere (compiled arenas)."""
+        with self._lock:
+            plans = list(self._plans.values())
+        return sum(sys.getsizeof(p) + sys.getsizeof(vars(p)) for p in plans)
 
     def _over_budget(self) -> bool:
         if len(self._plans) > self.maxsize:

@@ -55,6 +55,7 @@ from .compile import (
     _derive_lock,
     _ExecState,
     _InferenceOp,
+    _nhwc_rows,
 )
 from .plan import PlanCache
 
@@ -416,11 +417,12 @@ class QuantConvOp(ConvOp):
     a chain of quantized convs never touches float activations; with
     ``out_scale=None`` it dequantizes to float (region exit). With
     ``int8_kernel="blocked"`` the GEMM operand (:meth:`_gemm_blocks`)
-    becomes the exact span-blocked integer operand.
+    becomes the exact span-blocked integer operand, and ``weight_t``
+    stays ``None``: the span blocks are the only float copy of the codes.
 
     The int8 artifact (``codes_int8``, per-filter ``w_scale``, and for
     SPM layers only the non-zero sequence codes) is what the op *owns*;
-    the float-carried GEMM operand is derived working state.
+    the span blocks are derived working state, rebuilt from it.
     """
 
     w_scale: Optional[np.ndarray] = None  # (1, C_out) float
@@ -448,10 +450,10 @@ class QuantConvOp(ConvOp):
     def param_nbytes(self) -> int:
         """The int8 artifact *plus* the float-carried GEMM operand.
 
-        ``weight_t`` is built by quantization, not by :meth:`prepare` —
-        it cannot be rebuilt from ``self.weight`` (None here) — so it
-        counts as an owned parameter, never as reclaimable derived
-        state."""
+        A float-kernel ``weight_t`` is built by quantization, not by
+        :meth:`prepare` — it cannot be rebuilt from ``self.weight`` (None
+        here) — so it counts as an owned parameter, never as reclaimable
+        derived state."""
         total = _arr_nbytes(
             self.weight, self.bias, self.weight_t,
             self.codes_int8, self.w_scale, self.bias_q,
@@ -499,9 +501,7 @@ class QuantConvOp(ConvOp):
         leaks into the float tail)."""
         if self.emit_int8 and self.out_scale is not None:
             return np.dtype(np.int8)
-        if self.weight_t is not None:
-            return self.weight_t.dtype
-        return self.encoded.values.dtype
+        return _carry_dtype(self.dtype)
 
     def _epilogue(self, acc: np.ndarray, dest: np.ndarray) -> None:
         """Code-space bias (unless the GEMM operand carries it), scale
@@ -548,9 +548,16 @@ class QuantConvOp(ConvOp):
                     self._build_int8_blocks()
         return self._w_spans, self._w_blocks, int(self._bias_folded)
 
+    def _code_rows(self) -> np.ndarray:
+        """``(KH*KW*C_in, C_out)`` int8 weight codes in NHWC row order,
+        from the owned artifact (SPM value codes decode transiently)."""
+        if self.encoded is None:
+            return self.codes_int8.T
+        return np.rint(self._weight_rows()).astype(np.int8)
+
     def _build_int8_blocks(self) -> None:
-        k = self.weight_t.shape[0] - self.bias_rows
-        w = np.rint(self.weight_t[:k]).astype(np.int8)
+        w = self._code_rows()
+        k = w.shape[0]
         limit = float(2**24 - 1)
         qmax = float(self.qmax)
         head = 0.0
@@ -608,6 +615,11 @@ class QuantConvOp(ConvOp):
         float-carried codes."""
         base = super().schedule_kind()
         return f"{base}+int8:{self.int8_kernel or 'float'}"
+
+
+def _carry_dtype(dtype) -> np.dtype:
+    """Float dtype quantized convs carry codes and dequantized outputs in."""
+    return np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
 
 
 def _bits_of(qmax: int) -> int:
@@ -674,6 +686,10 @@ def _calibrate_edges(
     cur = x
     for op in ops:
         edges.append(float(np.abs(cur).max()) if cur.size else 0.0)
+        if isinstance(op, ConvOp) and op.wino_m:
+            # Calibrate on the column GEMM: the Winograd operand would be
+            # built only to be dropped with the float conv it belongs to.
+            op = op.clone_with(wino_m=0, slab_bytes=op.slab_bytes)
         cur = op.run(cur, state)
     edges.append(float(np.abs(cur).max()) if cur.size else 0.0)
     return edges
@@ -698,12 +714,11 @@ def _assess(op: _InferenceOp, config: QuantizationConfig) -> _LayerQuant:
     """
     if not isinstance(op, ConvOp) or isinstance(op, QuantConvOp):
         return _LayerQuant(False, "not a conv", 0.0)
-    op.prepare()  # codes quantize from the (folded, cast) GEMM operand
+    op.prepare()  # codes quantize from the folded, cast weights
     if op.encoded is not None:
         codes, scales, error = quantize_encoded_values(op.encoded, config)
     else:
-        k = op.weight_t.shape[0] - op.bias_rows
-        codes, scales, error = quantize_weight_codes(op.weight_t[:k].T, config)
+        codes, scales, error = quantize_weight_codes(op._weight_rows().T, config)
     if error > config.error_threshold:
         return _LayerQuant(
             False, f"weight error {error:.4f} > {config.error_threshold}", error
@@ -732,71 +747,53 @@ def _quantize_conv(
     F(m,3) transforms produce non-integer intermediates, which would
     void the int8 path's exact-integer-accumulation contract.
     """
-    carry = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
+    carry = _carry_dtype(dtype)
     int8_dense = kernel is not None and not op.use_gather
     scales = quant.scales
+    bias = op.epilogue.bias
+    # The real bias divided by each column's fold-back scale.
+    row = None if bias is None else (bias / (scales * in_scale)).astype(carry)[None, :]
+    encoded = None
+    codes_store = quant.codes
     if op.encoded is not None:
         from ..core.spm import EncodedLayer
 
-        value_codes = quant.codes
         # Re-wrap the CODES as an EncodedLayer: the memoized gather plan
-        # and grouped/decoded matrices then serve the int8 path, and the
-        # dense float weight tensor is never materialised.
-        q_encoded = EncodedLayer(
+        # and grouped matrices then serve the int8 path, and the dense
+        # float weight tensor is never materialised.
+        encoded = EncodedLayer(
             codes=op.encoded.codes,
-            values=value_codes.astype(carry),
+            values=quant.codes.astype(carry),
             codebook=op.encoded.codebook,
             shape=op.encoded.shape,
         )
-        bias = op.epilogue.bias
-        if op.use_gather:
-            weight_t = None
-            bias_rows = 0
-            bias_q = None
-            if bias is not None:
-                bias_q = (bias / (scales * in_scale)).astype(carry)[None, :]
-            codes_store = value_codes.astype(np.int8 if config.bits <= 8 else np.int32)
-        else:
-            decoded_codes = (
-                q_encoded.decoded_weight()
-                .transpose(0, 2, 3, 1)
-                .reshape(op.c_out, -1)
-                .T
-            )
-            weight_t = np.ascontiguousarray(decoded_codes, dtype=carry)
-            bias_rows = 0
-            bias_q = None
-            if bias is not None:
-                row = (bias / (scales * in_scale)).astype(carry)[None, :]
-                if int8_dense:
-                    bias_q = np.rint(row)  # integer accumulator codes
-                else:
-                    weight_t = np.ascontiguousarray(np.vstack([weight_t, row]))
-                    bias_rows = 1
-            codes_store = None  # SPM artifact is the value codes on q_encoded
-        encoded = q_encoded
+        if not op.use_gather:
+            codes_store = None  # SPM artifact is the value codes on `encoded`
+    weight_t = None
+    bias_rows = 0
+    bias_q = None
+    if op.use_gather:
+        bias_q = row  # added in code space by the epilogue
+    elif int8_dense:
+        # The blocked kernel builds its span blocks from the codes on
+        # first use. The bias is rounded to integer accumulator codes
+        # (the classic int32-bias of integer inference) so it can fold
+        # into the exact integer accumulation.
+        bias_q = None if row is None else np.rint(row)
     else:
-        codes = quant.codes
-        weight_t = np.ascontiguousarray(codes.T, dtype=carry)
-        bias_rows = 0
-        bias_q = None
-        bias = op.epilogue.bias
-        if bias is not None:
-            # Bias rides in the GEMM as a code-space row (real bias
-            # divided by the column's fold-back scale) against the
-            # column buffer's ones column, exactly like the float path —
-            # unless a true-integer kernel runs the GEMM, in which case
-            # it is rounded to integer accumulator codes (the classic
-            # int32-bias of integer inference) so it can fold into the
-            # exact integer accumulation.
-            row = (bias / (scales * in_scale)).astype(carry)[None, :]
-            if int8_dense:
-                bias_q = np.rint(row)
-            else:
-                weight_t = np.ascontiguousarray(np.vstack([weight_t, row]))
-                bias_rows = 1
-        encoded = None
-        codes_store = codes
+        # Float-carried codes are the column-GEMM operand, the bias
+        # riding in it as a code-space row against the column buffer's
+        # ones column, exactly like the float path.
+        if encoded is None:
+            rows = quant.codes.T
+        else:
+            from ..core import spm
+
+            rows = _nhwc_rows(spm.decode_layer(encoded))
+        if row is not None:
+            rows = np.vstack([rows, row])
+            bias_rows = 1
+        weight_t = np.ascontiguousarray(rows, dtype=carry)
     return QuantConvOp(
         weight_t=weight_t,
         bias_rows=bias_rows,

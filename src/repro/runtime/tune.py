@@ -124,9 +124,8 @@ def select_backend(request) -> str:
 # ---------------------------------------------------------------------
 #: Environment variable overriding the persisted tuning-cache path.
 TUNE_CACHE_ENV = "REPRO_TUNE_CACHE"
-#: Environment variable pinning the CPU count used in tuning-cache keys.
-#: Worker-pool processes inherit the router's resolved count through it,
-#: so a pool never re-probes under a different affinity view.
+#: Environment variable overriding the CPU count :func:`effective_cpu_count`
+#: reports: the tuning-cache key and ``predict``'s default lane count.
 TUNE_CPUS_ENV = "REPRO_TUNE_CPUS"
 # v2: the schedule space grew winograd2/winograd4 modes — v1 entries
 # would silently pin pre-Winograd winners, so the key version bumps.

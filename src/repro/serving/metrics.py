@@ -221,7 +221,7 @@ def render_metrics(model_server) -> str:
     )
     for name, served in models.items():
         if served.compiled is not None:
-            w.sample("repro_plan_cache_bytes", {"model": name}, served.compiled.plans.nbytes)
+            w.sample("repro_plan_cache_bytes", {"model": name}, served.compiled.plans.object_nbytes)
 
     # -- streaming front-end families ----------------------------------
     stream_server = getattr(model_server, "stream_server", None)

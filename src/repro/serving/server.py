@@ -293,7 +293,7 @@ class ModelServer:
                     "evictions": plans.stats.evictions,
                     "hit_rate": round(plans.stats.hit_rate, 3),
                     "size": len(plans),
-                    "bytes": plans.nbytes,
+                    "bytes": plans.object_nbytes,
                 },
             )
             if self.tune is not None:
