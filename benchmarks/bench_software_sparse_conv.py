@@ -1,8 +1,8 @@
 """Software sparse convolution — FLOPs vs wall-clock (extension bench).
 
 Measures the pattern-grouped sparse convolution against the dense
-im2col+GEMM path, and the runtime engine's cached-plan grouped-GEMM
-backend against the seed's per-pattern gather loop. The multiply count
+im2col+GEMM path, and the eager conv's cached-plan grouped-GEMM
+SPM path against the seed's per-pattern gather loop. The multiply count
 drops by exactly 9/n; the seed's honest finding stands — generic gather
 loops lose to tuned BLAS — but the engine's grouped-contraction
 formulation (pattern regularity -> one structured GEMM, Sec. I's
@@ -41,8 +41,8 @@ def make_layer(n=2, filters=64, channels=32, num_patterns=8, seed=0, hw=16):
 def seed_pattern_sparse_conv2d(x, encoded, stride=1, padding=0):
     """The seed implementation: per-pattern gather loop, index math per call.
 
-    Kept verbatim (minus bias) as the baseline the runtime engine's
-    cached-plan backend is measured against.
+    Kept verbatim (minus bias) as the baseline the eager conv's
+    cached-plan SPM path is measured against.
     """
     c_out, c_in, kh, kw = encoded.shape
     batch = x.shape[0]

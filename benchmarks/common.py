@@ -6,7 +6,7 @@ run with ``pytest benchmarks/ --benchmark-only -s`` to see them — and
 assert the paper-shape claims (who wins, by roughly what factor).
 
 ``python benchmarks/common.py --smoke`` runs a seconds-scale smoke of the
-perf-critical paths (runtime engine backends, plan cache, batched
+perf-critical paths (eager conv paths, plan cache, batched
 predict, compiled pipeline, analytic speedup) for CI, so a regression in
 the hot paths fails fast without the full benchmark suite. It also
 measures eager vs compiled vs schedule-tuned serving throughput on the
@@ -353,8 +353,8 @@ def bench_runtime(path: str = "BENCH_runtime.json", batch: int = 32) -> dict:
     Two configurations, both against PR 1's eager ``predict``:
 
     - ``pcnn_n2_p8`` — the paper's flagship Table-I setting (n=2, |P|=8,
-      SPM encodings attached): eager serves through the float64 pattern
-      backend, the compiled pipeline through its lowered ops. This is
+      SPM encodings attached): eager serves through the float64 SPM
+      path of the eager conv, the compiled pipeline through its lowered ops. This is
       the serving scenario the repo exists for and the headline
       ``speedup_compiled_vs_eager``.
     - ``dense`` — the unpruned model, isolating the compile-pipeline win
@@ -745,7 +745,7 @@ def bench_serving(path: str = "BENCH_serving.json", requests: int = 64) -> dict:
 # CI smoke target
 # ---------------------------------------------------------------------
 def smoke() -> int:
-    """Fast perf-path smoke: engine backends, plan cache, predict, sim."""
+    """Fast perf-path smoke: eager conv paths, plan cache, predict, sim."""
     from repro import runtime
     from repro.core import (
         PCNNConfig,
@@ -761,16 +761,16 @@ def smoke() -> int:
 
     rng = np.random.default_rng(SEED)
 
-    # 1. All registered backends match the conv2d reference.
+    # 1. The eager conv's dense and SPM paths match the conv2d reference.
     patterns = enumerate_patterns(2)[:8]
     weight = project_to_patterns(rng.normal(size=(16, 8, 3, 3)), patterns)
     encoded = encode_layer(weight, SPMCodebook(patterns))
     x = rng.normal(size=(2, 8, 10, 10))
     reference = conv2d(Tensor(x), Tensor(weight), padding=1).data
-    for backend in runtime.available_backends():
-        out = runtime.dispatch(x, weight, encoded=encoded, padding=1, backend=backend)
-        np.testing.assert_allclose(out, reference, rtol=1e-9, atol=1e-10)
-    print(f"smoke: backends {runtime.available_backends()} match conv2d")
+    for path, kwargs in (("dense", {"weight": weight}), ("spm", {"encoded": encoded})):
+        out = runtime.dispatch(x, padding=1, **kwargs)
+        np.testing.assert_allclose(out, reference, rtol=1e-9, atol=1e-10, err_msg=path)
+    print("smoke: eager dense and SPM paths match conv2d")
 
     # 2. Plan cache hits on repeated forwards.
     cache = runtime.PlanCache()

@@ -9,9 +9,9 @@ Accelerators. The package is organised as:
 - :mod:`repro.core` — the PCNN algorithm: patterns, SPM encoding,
   KP-based pattern distillation, ADMM fine-tuning, compression accounting,
   orthogonal (kernel/channel) pruning and baselines.
-- :mod:`repro.runtime` — unified conv execution engine: pluggable
-  backends (dense GEMM / pattern-sparse / tiled), cached execution plans
-  and the batched ``predict()`` inference API.
+- :mod:`repro.runtime` — conv execution: the eager reference conv
+  (dense im2col GEMM / SPM pattern gather), the compiled inference
+  pipeline and the batched ``predict()`` inference API.
 - :mod:`repro.serving` — dynamic-batching model server: request
   coalescing, multi-model registry (bundles or registry names), JSON
   endpoint, latency/batch statistics.

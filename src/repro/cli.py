@@ -8,8 +8,8 @@ Gives downstream users the paper's numbers without writing code:
 - ``pcnn-repro prune --model patternnet --n 2 --out bundle.npz`` — prune a
   model and write a deployment bundle (optionally 8-bit quantized);
 - ``pcnn-repro predict --model patternnet --n 2 --batch 16`` — batched
-  inference through the runtime engine (micro-batching, backend choice;
-  ``--compile`` for the fused float32 pipeline, ``--quantize`` for the
+  inference through the runtime engine (micro-batching on the eager
+  model; ``--compile`` for the fused float32 pipeline, ``--quantize`` for the
   int8 execution path, ``--workers N`` for parallel micro-batch
   serving);
 - ``pcnn-repro serve --model patternnet --n 2 --port 8100`` — dynamic-
@@ -119,7 +119,7 @@ def cmd_predict(args) -> int:
         pruner = PCNNPruner(model, config)
         pruner.apply()
         # With encodings attached, pruned convs execute straight from
-        # SPM storage (pattern backend) on the inference fast path.
+        # SPM storage on the inference fast path.
         pruner.attach_encodings()
         setting = config.describe()
     else:
@@ -161,16 +161,16 @@ def cmd_predict(args) -> int:
     warm_stats = runtime.PredictStats()
     try:
         runtime.predict(
-            model, x, micro_batch=args.micro_batch, backend=args.backend,
+            model, x, micro_batch=args.micro_batch,
             workers=args.workers, stats=warm_stats,
         )
-    except (KeyError, ValueError) as error:
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     with Timer() as timer:
         for _ in range(args.repeat):
             out = runtime.predict(
-                model, x, micro_batch=args.micro_batch, backend=args.backend,
+                model, x, micro_batch=args.micro_batch,
                 workers=args.workers,
             )
     cache = (
@@ -178,11 +178,10 @@ def cmd_predict(args) -> int:
     ).stats
     print(
         format_table(
-            ["setting", "backend", "batch", "micro-batch", "workers",
+            ["setting", "batch", "micro-batch", "workers",
              "latency (ms)", "images/s", "plan cache"],
             [[
                 setting,
-                args.backend or "auto",
                 str(args.batch),
                 # The effective chunk size (predict derives one chunk per
                 # worker when --micro-batch is not given).
@@ -478,11 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument(
         "--micro-batch", type=int, default=None,
         help="split the batch into chunks of this size",
-    )
-    p_pred.add_argument(
-        "--backend", default=None,
-        help="force a conv backend on the eager model (default: "
-        "auto-select per layer; rejected with --compile/--quantize/--tune)",
     )
     p_pred.add_argument(
         "--compile", action="store_true",

@@ -92,13 +92,11 @@ class LayerBundle:
         bias: Optional[np.ndarray] = None,
         stride: int = 1,
         padding: int = 1,
-        backend: Optional[str] = None,
     ) -> np.ndarray:
         """Run this layer's convolution straight from bundle storage.
 
-        Routes through :func:`repro.runtime.dispatch`; by default the
-        pattern backend computes from the SPM encoding without ever
-        materialising the dense weight.
+        Routes through :func:`repro.runtime.dispatch`, which computes
+        from the SPM encoding without keeping a dense weight.
         """
         from ..runtime.engine import dispatch
 
@@ -108,7 +106,6 @@ class LayerBundle:
             bias=bias,
             stride=stride,
             padding=padding,
-            backend=backend,
         )
 
     def dense_weight(self) -> np.ndarray:
@@ -190,10 +187,9 @@ class DeploymentBundle:
 
         Each restored conv also gets the bundle's cached
         :meth:`LayerBundle.encoded_layer` attached, so the runtime
-        engine's no-grad fast path serves it through the pattern backend
-        straight from SPM storage — without the encoding, a restored
-        PCNN model would silently fall back to the dense backend and
-        lose the pattern-GEMM speedup.
+        engine's no-grad fast path computes it straight from SPM
+        storage — without the encoding, a restored PCNN model would
+        silently run the dense conv and lose the pattern GEMM.
         """
         modules = dict(model.named_modules())
         for name, layer in self.layers.items():

@@ -146,8 +146,8 @@ class PCNNPruner:
         """SPM-encode every pruned layer and attach the encodings.
 
         After this, the runtime engine's no-grad fast path executes each
-        pruned conv straight from SPM storage through the pattern-sparse
-        backend (see :meth:`repro.nn.Conv2d.attach_encoding`). Returns
+        pruned conv straight from SPM storage (see
+        :meth:`repro.nn.Conv2d.attach_encoding`). Returns
         the encodings, keyed by layer name.
         """
         encoded = self.encode()

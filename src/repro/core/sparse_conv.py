@@ -7,7 +7,7 @@ so the layer decomposes into |P_l| grouped contractions over ``n`` columns
 each — exactly ``n/9`` of the dense multiplies, with no per-weight index
 decoding.
 
-Execution lives in :mod:`repro.runtime`: the ``pattern`` backend turns
+Execution lives in :mod:`repro.runtime`: the eager conv's SPM path turns
 the grouped structure into a single BLAS GEMM against a cached grouped
 weight matrix (an order of magnitude over a per-pattern gather loop —
 ``bench_software_sparse_conv`` quantifies it). An honest note remains: at
@@ -52,11 +52,12 @@ def pattern_sparse_conv2d(
     """Convolution computed directly from SPM storage.
 
     Equivalent to ``conv2d(x, decode_layer(encoded))`` but never
-    materialises the zeros. Thin wrapper over
-    :func:`repro.runtime.dispatch` with the ``pattern`` backend: the
-    layer's cached gather plan maps each stored value to its im2col
-    column, one fused gather + contraction computes every kernel's
-    partial sum, and per-filter segment reduction assembles the output.
+    materialises the zeros (for codebooks within
+    ``GROUPED_EXPANSION_LIMIT``). Thin wrapper over
+    :func:`repro.runtime.dispatch`: the layer's cached gather plan picks
+    each pattern's ``n`` positions per channel from the im2col columns,
+    and one GEMM against the grouped weight matrix computes every
+    output channel.
     The output dtype follows ``np.result_type(x, encoded.values)`` so
     float32 pipelines stay float32 end-to-end.
     """
@@ -66,5 +67,4 @@ def pattern_sparse_conv2d(
         bias=bias,
         stride=stride,
         padding=padding,
-        backend="pattern",
     )

@@ -109,7 +109,7 @@ class PatternGatherPlan:
 
     ``positions_by_code[g]`` holds pattern ``g``'s ``n`` kernel positions
     (decoded once per code, never per forward call) — the index state the
-    grouped-contraction backend reads on every execution. ``col_idx()``
+    eager SPM conv reads on every execution. ``col_idx()``
     expands it to the per-kernel view for gather-style consumers:
     ``col_idx[k, j]`` is the im2col column holding the activation that
     multiplies ``values[k, j]``, i.e. ``channel(k) * k^2 +
@@ -157,24 +157,10 @@ class EncodedLayer:
     _grouped_weights: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
-    _decoded: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def num_kernels(self) -> int:
         return len(self.codes)
-
-    def decoded_weight(self) -> np.ndarray:
-        """Dense (pruned) weight tensor, decoded once and memoized.
-
-        The runtime engine's dense/tiled backends (and the pattern
-        backend's diverse-codebook fallback) read this on repeated
-        forwards; treat the returned array as read-only.
-        """
-        if self._decoded is None:
-            with _memo_lock:
-                if self._decoded is None:
-                    self._decoded = decode_layer(self)
-        return self._decoded
 
     def gather_plan(self) -> PatternGatherPlan:
         """Cached im2col gather indices for the pattern-sparse conv.
@@ -244,7 +230,6 @@ class EncodedLayer:
         freed = self.cached_nbytes
         self._gather_plan = None
         self._grouped_weights = None
-        self._decoded = None
         return freed
 
     @property
@@ -255,15 +240,13 @@ class EncodedLayer:
     @property
     def cached_nbytes(self) -> int:
         """Bytes of the memoized *derived* state (gather plan positions,
-        grouped GEMM operand, decoded dense weight) — the reclaimable
-        part; the storage format itself (:attr:`nbytes`) stays."""
+        grouped GEMM operand) — the reclaimable part; the storage format
+        itself (:attr:`nbytes`) stays."""
         total = 0
         if self._gather_plan is not None:
             total += int(self._gather_plan.positions_by_code.nbytes)
         if self._grouped_weights is not None:
             total += int(self._grouped_weights.nbytes)
-        if self._decoded is not None:
-            total += int(self._decoded.nbytes)
         return total
 
     @property

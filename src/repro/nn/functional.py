@@ -193,10 +193,10 @@ def conv2d(
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {c_in_w}")
 
-    # The forward computation runs through the runtime engine's dense
-    # backend (identical im2col + GEMM math); the workspace hands back the
-    # column matrix the backward pass needs. Imported lazily because the
-    # runtime package itself builds on this module.
+    # The forward computation is the runtime's eager conv (im2col +
+    # GEMM); the workspace hands back the column matrix the backward
+    # pass needs. Imported lazily because the runtime package itself
+    # builds on this module.
     from ..runtime import engine as _engine
 
     workspace: dict = {}
@@ -206,7 +206,6 @@ def conv2d(
         bias=bias.data if bias is not None else None,
         stride=stride,
         padding=padding,
-        backend="dense",
         workspace=workspace,
     )
     cols = workspace["cols"]

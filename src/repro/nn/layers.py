@@ -169,7 +169,6 @@ class Conv2d(Module):
         padding: int = 0,
         bias: bool = True,
         rng: Optional[np.random.Generator] = None,
-        backend: Optional[str] = None,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng()
@@ -178,9 +177,6 @@ class Conv2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        # Runtime-engine backend override for inference ("dense", "tiled",
-        # ...); None lets repro.runtime.dispatch auto-select per input.
-        self.backend = backend
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Parameter(init.kaiming_normal(shape, rng), name="conv.weight")
         self.bias = Parameter(init.zeros((out_channels,)), name="conv.bias") if bias else None
@@ -218,8 +214,8 @@ class Conv2d(Module):
 
         Inference-time state for the runtime engine: with an encoding
         attached, the no-grad fast path hands it to
-        ``repro.runtime.dispatch`` so the pattern-sparse backend can
-        compute straight from SPM storage. The encoding clears
+        ``repro.runtime.dispatch``, which then computes straight from
+        SPM storage. The encoding clears
         automatically on the events the framework can see: installing a
         new weight mask, a gradient-mode forward (training updates the
         dense weights the snapshot came from), and ``load_state_dict``.
@@ -244,8 +240,8 @@ class Conv2d(Module):
 
         Returns a dict with ``weight`` (mask applied; ``None`` when an
         SPM encoding is attached, which then is the only weight copy the
-        compiled layer needs), ``bias``, ``encoded``, ``stride``,
-        ``padding`` and ``backend`` — everything
+        compiled layer needs), ``bias``, ``encoded``, ``stride`` and
+        ``padding`` — everything
         :func:`repro.runtime.compile_model` needs to lower the layer
         without reaching into private attributes.
         """
@@ -255,7 +251,6 @@ class Conv2d(Module):
             "encoded": self._encoded,
             "stride": self.stride,
             "padding": self.padding,
-            "backend": self.backend,
         }
 
     def forward(self, x: Tensor) -> Tensor:
@@ -263,10 +258,9 @@ class Conv2d(Module):
 
         if not is_grad_enabled():
             # Inference fast path: no autograd graph to build, so go
-            # straight through the runtime engine (which may pick a
-            # sparse or tiled backend) instead of the training conv.
-            # With an encoding attached the dense weight is never read,
-            # so skip materialising it.
+            # straight through the eager conv, which computes from the
+            # SPM encoding when one is attached. The dense weight is then
+            # never read, so skip materialising it.
             from ..runtime import engine as _engine
 
             out = _engine.dispatch(
@@ -276,7 +270,6 @@ class Conv2d(Module):
                 bias=self.bias.data if self.bias is not None else None,
                 stride=self.stride,
                 padding=self.padding,
-                backend=self.backend,
             )
             # dtype=None keeps a float32 engine result float32 instead of
             # re-promoting to the training default of float64.

@@ -1,16 +1,11 @@
-"""repro.runtime — unified conv execution engine.
+"""repro.runtime — conv execution: the eager reference and the compiler.
 
-One shared, plan-caching execution layer for every convolution in the
-reproduction (nn forward passes, SPM-encoded inference, deployment
-bundles, the accelerator simulator's functional path):
-
-- :func:`dispatch` — single entry point; selects a backend from layer
-  shape + encoding and executes through a cached
-  :class:`ExecutionPlan`.
-- :class:`ConvBackend` registry — ``dense`` (im2col + GEMM reference),
-  ``pattern`` (fused gather over SPM storage), ``tiled`` (bounded-memory
-  GEMM for large inputs), ``winograd`` (F(m x m, 3x3) transform-domain
-  conv for 3x3/stride-1); :func:`register_backend` adds more.
+- :func:`dispatch` — the eager convolution every nn forward pass,
+  SPM-encoded inference, deployment bundle and the accelerator
+  simulator's functional path run through: im2col + GEMM over bounded
+  output-row slabs for a dense weight, the grouped pattern gather for
+  an SPM encoding (:mod:`repro.runtime.engine`). It is the oracle the
+  compiled pipeline is tested against.
 - :class:`PlanCache` — memoizes per-geometry planning; pattern gather
   indices are additionally cached on each
   :class:`~repro.core.spm.EncodedLayer`.
@@ -24,7 +19,7 @@ bundles, the accelerator simulator's functional path):
   finalize``) into
   BN-folded, epilogue-fused, channels-last ops over per-thread
   zero-allocation :class:`Arena` workspaces.
-- :mod:`repro.runtime.tune` — backend-selection policy and the
+- :mod:`repro.runtime.tune` — the static schedule rules and the
   cost-model/autotune pass: ``compile_model(tune="cost")`` ranks
   per-layer schedules with the analytic accelerator model,
   ``tune="measure"`` times the top candidates and persists winners in
@@ -36,19 +31,8 @@ bundles, the accelerator simulator's functional path):
 """
 
 from .arena import Arena, ArenaStats
-from .backends import (
-    ConvBackend,
-    DenseGemmBackend,
-    Epilogue,
-    PatternSparseBackend,
-    TiledBackend,
-    WinogradBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from .compile import CompiledModel, compile_model, fold_batchnorm
-from .engine import ConvRequest, default_cache, dispatch, select_backend
+from .compile import CompiledModel, Epilogue, compile_model, fold_batchnorm
+from .engine import default_cache, dispatch
 from .ir import Graph, GraphError, Node, TensorMeta
 from .passes import (
     PASS_REGISTRY,
@@ -59,7 +43,7 @@ from .passes import (
     default_passes,
 )
 from .plan import ExecutionPlan, PlanCache, PlanCacheStats
-from .predict import PredictStats, conv_backend_override, predict
+from .predict import PredictStats, predict
 from .quant import QuantizationConfig, QuantizationReport, resolve_quantization
 from .tune import (
     ConvSchedule,
@@ -73,28 +57,17 @@ from .tune import (
 __all__ = [
     "Arena",
     "ArenaStats",
-    "ConvBackend",
     "Epilogue",
-    "DenseGemmBackend",
-    "PatternSparseBackend",
-    "TiledBackend",
-    "WinogradBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
     "CompiledModel",
     "compile_model",
     "fold_batchnorm",
-    "ConvRequest",
     "dispatch",
-    "select_backend",
     "default_cache",
     "ExecutionPlan",
     "PlanCache",
     "PlanCacheStats",
     "PredictStats",
     "predict",
-    "conv_backend_override",
     "QuantizationConfig",
     "QuantizationReport",
     "resolve_quantization",

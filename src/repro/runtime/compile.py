@@ -56,7 +56,6 @@ import numpy as np
 from .. import nn
 from ..nn.functional import im2col_nhwc, pool_windows_nhwc
 from .arena import Arena
-from .backends import Epilogue
 from .ir import Graph, TensorMeta
 from .plan import ExecutionPlan, PlanCache
 from .tune import GATHER_WIDTH_LIMIT  # noqa: F401  (canonical home: tune.py)
@@ -64,7 +63,7 @@ from .winograd import transforms as wino_transforms
 from .winograd import weight_transform as wino_weight_transform
 from .winograd import wino_geometry
 
-__all__ = ["compile_model", "CompiledModel", "fold_batchnorm"]
+__all__ = ["compile_model", "CompiledModel", "Epilogue", "fold_batchnorm"]
 
 # Per-conv workspace budget (bytes) for the compiled executor's im2col
 # slabs. Byte-based rather than element-based so the float32 pipeline
@@ -82,6 +81,28 @@ SLAB_BYTES = 64 * 2**20
 # Builders check their memo, then re-check under the lock (reentrant:
 # bind() may prepare() while another builder holds it).
 _derive_lock = threading.RLock()
+
+
+@dataclass
+class Epilogue:
+    """Fused post-GEMM work of a compiled conv: per-output-channel bias
+    add and/or ReLU, folded into the GEMM output while the tile is still
+    cache-hot instead of run as separate full-tensor passes. The
+    ``fuse_epilogues`` pass sets the ReLU; ``fold_bn`` supplies the
+    folded BN bias."""
+
+    bias: Optional[np.ndarray] = None  # (C_out,), added per output channel
+    relu: bool = False
+
+    def apply(self, mat: np.ndarray) -> np.ndarray:
+        """Apply to a ``(windows, C_out)`` matrix (or row tile) in place."""
+        if self.bias is not None:
+            # Harmonise dtype so a float64 bias cannot silently promote a
+            # float32 activation path; += keeps the add allocation-free.
+            mat += self.bias.astype(mat.dtype, copy=False)
+        if self.relu:
+            np.maximum(mat, 0.0, out=mat)
+        return mat
 
 
 # ---------------------------------------------------------------------
@@ -871,9 +892,13 @@ class ConvOp(_InferenceOp):
 
 @dataclass
 class LinearOp(_InferenceOp):
-    """Affine head with optional fused ReLU (outputs are small)."""
+    """Affine head with optional fused ReLU (outputs are small).
 
-    weight: np.ndarray
+    ``weight_t`` is the ``(in, out)`` GEMM operand, transposed and made
+    contiguous once at lowering; every bound thunk shares it.
+    """
+
+    weight_t: np.ndarray
     bias: Optional[np.ndarray]
     tag: str
     relu: bool = False
@@ -882,10 +907,10 @@ class LinearOp(_InferenceOp):
     layout_out = "flat"
 
     def bind(self, x, state):
-        weight_t = np.ascontiguousarray(self.weight.T)
+        weight_t = self.weight_t
         out_dtype = np.result_type(x.dtype, weight_t.dtype)
         out = state.arena.take(
-            f"{self.tag}:out", (x.shape[0], self.weight.shape[0]), out_dtype
+            f"{self.tag}:out", (x.shape[0], weight_t.shape[1]), out_dtype
         )
         bias = None if self.bias is None else self.bias.astype(out_dtype, copy=False)
         relu = self.relu
@@ -901,7 +926,7 @@ class LinearOp(_InferenceOp):
         return thunk
 
     def param_nbytes(self) -> int:
-        return _arr_nbytes(self.weight, self.bias)
+        return _arr_nbytes(self.weight_t, self.bias)
 
     def describe(self) -> str:
         return "linear+relu" if self.relu else "linear"
@@ -1170,12 +1195,9 @@ class ResidualOp(_InferenceOp):
 
 @dataclass
 class ModuleOp(_InferenceOp):
-    """Fallback: run an unlowered module under no_grad in eval mode.
-
-    Also the lowering of a ``Conv2d`` pinned to an engine ``backend``:
-    the pin is honoured through the eager engine, and the layer shows
-    up as ``module:Conv2d`` in :meth:`CompiledModel.describe`.
-    """
+    """Fallback: run a module the lowerer does not recognise under
+    no_grad in eval mode, so ``compile_model`` stays total. It shows up
+    as ``module:<type>`` in :meth:`CompiledModel.describe`."""
 
     module: nn.Module
     tag: str
@@ -1522,9 +1544,9 @@ class CompiledModel:
                 h, w, c = tail
                 tail = (c * h * w,)
             elif isinstance(op, LinearOp):
-                tail = (op.weight.shape[0],)
+                tail = (op.weight_t.shape[1],)
                 if macs is not None:
-                    macs[0] += op.weight.size
+                    macs[0] += op.weight_t.size
             elif isinstance(op, ResidualOp):
                 if macs is not None and (
                     CompiledModel._walk_geometry(op.shortcut, tail, macs) is None

@@ -1,110 +1,49 @@
-"""Unified conv execution engine — the single entry point for every
-convolution in the repo.
+"""The eager convolution: one reference conv with two paths.
 
-:func:`dispatch` selects a registered :class:`~repro.runtime.backends.ConvBackend`
-from the request's shape and encoding (explicit override wins), pulls the
-memoized :class:`~repro.runtime.plan.ExecutionPlan` for the geometry from
-the process-wide :data:`default_cache`, executes, and applies bias +
-NCHW reshape uniformly so all backends are bit-comparable.
+Every eager convolution in the repo runs through :func:`dispatch` — the
+autograd forward of :func:`repro.nn.functional.conv2d`, the no-grad
+``Conv2d`` fast path, :func:`repro.core.pattern_sparse_conv2d`,
+:meth:`repro.core.LayerBundle.conv_forward` and the accelerator
+simulator's functional path. It is also the oracle every compiled
+pipeline is checked against, so it stays a plain reference with no
+options. The path follows from what it is given:
 
-Selection policy (first match):
+- **Dense weight** — im2col + one GEMM per output-row slab. Slabs keep
+  the column workspace under :data:`~repro.runtime.tune.TILE_THRESHOLD_ELEMENTS`;
+  a geometry that fits runs as one slab (the monolithic GEMM).
+- **SPM encoding** — the paper's grouped contraction: kernels sharing
+  an SPM code read the same ``n`` positions, so each slab is one GEMM of
+  the gathered ``|P| * n`` pattern columns per channel
+  (:meth:`~repro.core.spm.EncodedLayer.gather_plan`) against the grouped
+  weight matrix (:meth:`~repro.core.spm.EncodedLayer.grouped_weight_matrix`).
+  When the codebook is so diverse that this matrix would be more than
+  :data:`~repro.runtime.tune.GROUPED_EXPANSION_LIMIT` times the dense
+  weight, the encoding is decoded for the call only and runs the dense
+  path.
 
-1. an SPM encoding is present → ``pattern`` (compute from sparse storage);
-2. the monolithic im2col workspace would exceed the tiling threshold →
-   ``tiled``;
-3. otherwise → ``dense`` (BLAS GEMM reference path).
+The output dtype is ``np.result_type(x, weights)``. Per-geometry
+:class:`~repro.runtime.plan.ExecutionPlan` objects are memoized in a
+:class:`~repro.runtime.plan.PlanCache`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .backends import Epilogue, get_backend
+from ..nn.functional import im2col
 from .plan import ExecutionPlan, PlanCache
+from .tune import GROUPED_EXPANSION_LIMIT, TILE_THRESHOLD_ELEMENTS, gather_width_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.spm import EncodedLayer
 
-__all__ = ["ConvRequest", "dispatch", "select_backend", "default_cache"]
+__all__ = ["dispatch", "default_cache"]
 
 #: Process-wide plan cache shared by every dispatch() call that does not
 #: bring its own. Keys are pure geometry, so it never goes stale.
 default_cache = PlanCache()
-
-
-@dataclass
-class ConvRequest:
-    """One convolution to execute: input + (weight | SPM encoding)."""
-
-    x: np.ndarray
-    weight: Optional[np.ndarray] = None
-    encoded: Optional["EncodedLayer"] = None
-    stride: int = 1
-    padding: int = 0
-
-    def __post_init__(self) -> None:
-        if self.weight is None and self.encoded is None:
-            raise ValueError("ConvRequest needs a weight or an encoded layer")
-        if self.x.ndim != 4:
-            raise ValueError(f"input must be (N, C, H, W), got shape {self.x.shape}")
-        c_in = self.weight_shape[1]
-        if self.x.shape[1] != c_in:
-            raise ValueError(
-                f"channel mismatch: input {self.x.shape[1]} vs weights {c_in}"
-            )
-
-    @property
-    def weight_shape(self) -> Tuple[int, int, int, int]:
-        """Filter shape ``(C_out, C_in, KH, KW)``, from weight or encoding."""
-        if self.weight is not None:
-            return tuple(self.weight.shape)  # type: ignore[return-value]
-        return self.encoded.shape
-
-
-def select_backend(request: ConvRequest) -> str:
-    """Pick a backend name from the request's encoding and geometry.
-
-    Delegates to :func:`repro.runtime.tune.select_backend` — the single
-    home of every backend-selection rule (kept as an alias here because
-    this is where callers historically imported it from).
-    """
-    from .tune import select_backend as _select
-
-    return _select(request)
-
-
-def _accepts_epilogue(impl) -> bool:
-    """Whether a backend's ``execute`` takes the ``epilogue=`` hook.
-
-    Checked once per backend instance (memoized on the instance) so
-    pre-hook backends registered by downstream code keep working.
-    """
-    cached = getattr(impl, "_accepts_epilogue", None)
-    if cached is None:
-        import inspect
-
-        try:
-            cached = "epilogue" in inspect.signature(impl.execute).parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            cached = False
-        try:
-            impl._accepts_epilogue = cached
-        except AttributeError:  # pragma: no cover - slotted backends
-            pass
-    return cached
-
-
-def _plan_key(request: ConvRequest, backend_name: str) -> tuple:
-    return (
-        backend_name,
-        request.x.shape,
-        request.weight_shape,
-        request.stride,
-        request.padding,
-    )
 
 
 def dispatch(
@@ -115,73 +54,92 @@ def dispatch(
     bias: Optional[np.ndarray] = None,
     stride: int = 1,
     padding: int = 0,
-    backend: Optional[str] = None,
     cache: Optional[PlanCache] = None,
     workspace: Optional[dict] = None,
-    epilogue: Optional[Epilogue] = None,
 ) -> np.ndarray:
-    """Execute a convolution through the engine.
+    """Run one convolution (cross-correlation) eagerly.
 
     Parameters
     ----------
     x:
         Input activations ``(N, C_in, H, W)``.
     weight:
-        Dense filters ``(C_out, C_in, KH, KW)``; optional when
-        ``encoded`` is given (backends decode on demand).
+        Dense filters ``(C_out, C_in, KH, KW)``; ignored when ``encoded``
+        is given.
     encoded:
-        SPM-encoded layer; routes to the pattern backend by default.
+        SPM-encoded layer; the conv then computes from its storage.
     bias:
-        Optional per-output-channel bias ``(C_out,)``; folded into the
-        backend epilogue so the add happens in place on the GEMM output
-        instead of allocating a second output-sized array.
-    backend:
-        Explicit backend name (overrides auto-selection).
+        Optional per-output-channel bias ``(C_out,)``, added in place to
+        each GEMM slab in the output dtype.
     cache:
         Plan cache to use; defaults to the process-wide one.
     workspace:
-        Dict to receive backend intermediates (e.g. ``cols`` for the
-        autograd backward pass; only honoured by the dense backend) and,
-        via ``workspace["arena"]``/``workspace["tag"]``, to hand the
-        backend a reusable buffer arena.
-    epilogue:
-        Pre-built :class:`~repro.runtime.backends.Epilogue` (compiled
-        pipeline); mutually exclusive with ``bias``, which builds one.
+        Dict that receives the whole im2col matrix (``cols``) and the
+        ``(C_out, C_in*KH*KW)`` weight matrix (``w_mat``) for the
+        autograd backward pass; the dense path then runs as one slab.
 
     Returns
     -------
     Output activations ``(N, C_out, OH, OW)``.
     """
-    request = ConvRequest(
-        x=x, weight=weight, encoded=encoded, stride=stride, padding=padding
-    )
-    name = backend or select_backend(request)
-    impl = get_backend(name)
-    if not impl.supports(request):
-        raise ValueError(f"backend {name!r} does not support this request")
-    if bias is not None:
-        if epilogue is not None and epilogue.bias is not None:
-            raise ValueError("pass bias either directly or in the epilogue, not both")
-        epilogue = Epilogue(bias=np.asarray(bias), relu=epilogue.relu if epilogue else False)
+    if weight is None and encoded is None:
+        raise ValueError("dispatch needs a weight or an encoded layer")
+    if x.ndim != 4:
+        raise ValueError(f"input must be (N, C, H, W), got shape {x.shape}")
+    w_shape = tuple(encoded.shape if encoded is not None else weight.shape)
+    if x.shape[1] != w_shape[1]:
+        raise ValueError(f"channel mismatch: input {x.shape[1]} vs weights {w_shape[1]}")
+    if workspace is not None and encoded is not None:
+        raise ValueError("workspace= needs a dense weight")
 
     plans = default_cache if cache is None else cache
-    key = _plan_key(request, name)
+    key = (x.shape, w_shape, stride, padding)
     plan = plans.get_or_build(
-        key,
-        lambda: ExecutionPlan.build(
-            key, request.x.shape, request.weight_shape, stride, padding
-        ),
+        key, lambda: ExecutionPlan.build(key, x.shape, w_shape, stride, padding)
     )
-
-    if _accepts_epilogue(impl):
-        out = impl.execute(request, plan, workspace=workspace, epilogue=epilogue)
-    else:
-        # Legacy backend registered without the epilogue hook: run it
-        # as-is and apply the epilogue on its output matrix here.
-        out = impl.execute(request, plan, workspace=workspace)
-        if epilogue is not None:
-            epilogue.apply(out)
+    n, c_in, c_out = plan.batch, plan.in_channels, plan.out_channels
+    kh, kw = plan.kernel
+    k2 = kh * kw
     oh, ow = plan.out_hw
-    return (
-        out.reshape(plan.batch, oh, ow, plan.out_channels).transpose(0, 3, 1, 2)
-    )
+
+    gather = None
+    if encoded is not None:
+        num_patterns, n_nonzero = len(encoded.codebook), encoded.codebook.n_nonzero
+        if gather_width_ratio(num_patterns, n_nonzero, k2) <= GROUPED_EXPANSION_LIMIT:
+            gather = encoded.gather_plan()
+            w_mat = encoded.grouped_weight_matrix()  # (|P| * C_in * n, C_out)
+        else:
+            from ..core.spm import decode_layer  # repro.core imports this module
+
+            weight = decode_layer(encoded)  # for this call only, never memoized
+    if gather is None:
+        w_mat = weight.reshape(c_out, -1).T
+    # Widest per-output-row workspace: the columns or the gathered matrix.
+    per_row = n * ow * max(c_in * k2, w_mat.shape[0])
+    rows = oh if workspace is not None else TILE_THRESHOLD_ELEMENTS // per_row
+    rows = max(1, min(oh, rows))
+
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dtype = np.result_type(x.dtype, w_mat.dtype)
+    out = None if rows == oh else np.empty((n, oh, ow, c_out), dtype=dtype)
+    for r0 in range(0, oh, rows):
+        r1 = min(r0 + rows, oh)
+        x_slab = x[:, :, r0 * stride : (r1 - 1) * stride + kh, :]
+        cols, _ = im2col(x_slab, (kh, kw), stride, 0)
+        if gather is not None:
+            # (slab, C_in, |P|, n) -> (slab, |P| * C_in * n), matching the
+            # grouped weight matrix's (code, channel, slot) row layout.
+            gathered = cols.reshape(-1, c_in, k2)[:, :, gather.positions_by_code]
+            cols = gathered.transpose(0, 2, 1, 3).reshape(len(gathered), -1)
+        tile = cols @ w_mat
+        if bias is not None:
+            tile += np.asarray(bias).astype(tile.dtype, copy=False)
+        if out is None:
+            out = tile.reshape(n, oh, ow, c_out)
+        else:
+            out[:, r0:r1] = tile.reshape(n, r1 - r0, ow, c_out)
+    if workspace is not None:
+        workspace["cols"] = cols
+        workspace["w_mat"] = w_mat.T
+    return out.transpose(0, 3, 1, 2)

@@ -335,9 +335,7 @@ def _lower_steps(steps: Sequence[object], ctx: CompileContext, graph: Graph) -> 
             )
             node.subgraphs.update(branches)
             continue
-        if isinstance(step, nn.Conv2d) and step.backend is None:
-            # A conv pinned to an engine backend falls through to a
-            # ModuleOp below, so the pin is honoured, visibly.
+        if isinstance(step, nn.Conv2d):
             ensure("nhwc")
             graph.append(_lower_conv(step, ctx))
             continue
@@ -348,7 +346,7 @@ def _lower_steps(steps: Sequence[object], ctx: CompileContext, graph: Graph) -> 
             bias = step.bias.data if step.bias is not None else None
             graph.append(
                 LinearOp(
-                    weight=_cast(weight, ctx.dtype),
+                    weight_t=np.ascontiguousarray(weight.T, dtype=ctx.dtype),
                     bias=_cast(bias, ctx.dtype),
                     tag=ctx.next_tag(),
                 )

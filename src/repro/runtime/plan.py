@@ -35,7 +35,7 @@ PlanKey = Tuple[Any, ...]
 class ExecutionPlan:
     """Memoized per-geometry convolution plan.
 
-    Holds the validated im2col geometry shared by every backend. Plans
+    Holds the validated im2col geometry of one conv shape. Plans
     are shared by every request with the same key, so any state added
     here must be derivable from the key's shapes alone — never from a
     particular layer's codebook or values (layer-dependent caches belong
@@ -131,7 +131,8 @@ class PlanCacheStats:
 class PlanCache:
     """LRU cache of :class:`ExecutionPlan` keyed by geometry.
 
-    Keys are pure value tuples (backend name + shapes + stride/padding),
+    Keys are pure value tuples (shapes + stride/padding, plus a layout
+    tag for the compiled pipeline's channels-last plans),
     so a cached plan can never go stale through weight mutation — only
     through an explicit :meth:`invalidate` / :meth:`clear`, which exist
     for callers that want deterministic re-planning (tests, benchmarks).

@@ -29,9 +29,8 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from . import blas
 from .compile import CompiledModel, compile_model
 from .tune import effective_cpu_count
 
-__all__ = ["PredictStats", "predict", "conv_backend_override", "LANE_MIN_MACS"]
+__all__ = ["PredictStats", "predict", "LANE_MIN_MACS"]
 
 #: Dense multiply-accumulates each automatic batch lane must carry. A
 #: lane this size is ~10 ms of single-threaded float32 GEMM, against
@@ -109,21 +108,6 @@ class PredictStats:
         return self.batch / self.seconds if self.seconds > 0 else float("inf")
 
 
-@contextmanager
-def conv_backend_override(model: nn.Module, backend: Optional[str]) -> Iterator[None]:
-    """Temporarily force every Conv2d in ``model`` onto one backend."""
-    convs = [m for m in model.modules() if isinstance(m, nn.Conv2d)]
-    saved = [conv.backend for conv in convs]
-    try:
-        if backend is not None:
-            for conv in convs:
-                conv.backend = backend
-        yield
-    finally:
-        for conv, previous in zip(convs, saved):
-            conv.backend = previous
-
-
 # Memoized empty-batch output geometry, keyed weakly by model object ->
 # {(compile?, input shape, input dtype): (output shape, output dtype)}.
 # Output geometry is a function of the architecture and input geometry
@@ -167,7 +151,6 @@ def predict(
     x: np.ndarray,
     *,
     micro_batch: Optional[int] = None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     executor: Optional[ThreadPoolExecutor] = None,
     compile: bool = False,
@@ -191,14 +174,6 @@ def predict(
         Split size along the batch axis; ``None`` runs one chunk (or,
         with ``workers``, one chunk per worker). The last chunk may be
         smaller.
-    backend:
-        Force a specific conv backend for the whole call (e.g.
-        ``"tiled"``); ``None`` lets the engine auto-select per layer.
-        Eager-only: a compiled call (a :class:`CompiledModel`, or any of
-        ``compile``/``quantize``/``tune``) rejects it with
-        ``ValueError`` — the pipeline runs the schedules it was compiled
-        with. To pin one layer, set its ``Conv2d.backend`` before
-        compiling; it then lowers to a visible ``ModuleOp``.
     workers:
         Run micro-batches on a thread pool of this size. BLAS releases
         the GIL during the GEMMs that dominate inference, so chunks
@@ -280,12 +255,6 @@ def predict(
         )
     compile = compile or quantize is not None or tune is not None
     want_compiled = compile or isinstance(model, CompiledModel)
-    if backend is not None and want_compiled:
-        raise ValueError(
-            "backend= is eager-only: a compiled pipeline runs the schedules "
-            "it was compiled with (pin Conv2d.backend before compiling to "
-            "keep that layer on an engine backend)"
-        )
     if x.shape[0] == 0:
         # A batcher flush or a drained queue legitimately produces N=0:
         # answer with a correctly-shaped (0, ...) output. A compiled
@@ -400,7 +369,7 @@ def predict(
             # This outer no_grad covers the sequential path (run_chunk
             # adds a per-thread one for pooled workers, since grad mode
             # is thread-local).
-            with nn.no_grad(), conv_backend_override(model, backend):
+            with nn.no_grad():
                 outputs = run_all()
         finally:
             model.train(was_training)

@@ -230,16 +230,6 @@ def quantize_encoded_values(
     return codes_f.reshape(values.shape), scales, error
 
 
-def quantize_activation_codes(
-    x: np.ndarray, config: QuantizationConfig
-) -> Tuple[np.ndarray, float]:
-    """Dynamically quantize an activation array with one per-tensor scale."""
-    peak = float(np.abs(x).max()) if x.size else 0.0
-    scale = peak / config.qmax if peak > 0 else 1.0
-    codes = np.clip(np.round(x / scale), -config.qmax, config.qmax)
-    return codes, scale
-
-
 def int8_gemm_int32(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
     """Exact integer-dtype reference GEMM: ``a_codes @ b_codes`` in int32.
 
@@ -935,7 +925,3 @@ def quantize_pipeline(
             DequantizeOp(scale=domain_scale, tag=f"q{boundary}", dtype=carry_dtype)
         )
     return new_ops, report
-
-
-# Registration lives in backends.py (bottom-of-module import) so the
-# registry is complete for anyone importing repro.runtime.backends alone.

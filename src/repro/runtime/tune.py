@@ -1,15 +1,15 @@
-"""Backend selection policy and the per-layer schedule tuner.
+"""Static schedule rules and the per-layer schedule tuner.
 
 This module is the single home of every "which way should this conv
 run" decision in the runtime:
 
 - **Static rules.** :data:`GATHER_WIDTH_LIMIT` /
   :func:`prefer_gather` (should a compiled SPM conv gather natively or
-  decode to a dense GEMM), :data:`GROUPED_EXPANSION_LIMIT` (when the
-  eager pattern backend falls back to decode + dense), and
-  :func:`select_backend` (the engine's shape-based backend choice).
-  ``compile.py``, ``engine.py`` and ``backends.py`` all import these
-  from here instead of keeping private copies.
+  decode to a dense GEMM), and the eager conv's
+  :data:`GROUPED_EXPANSION_LIMIT` (when an encoding decodes into the
+  dense path) and :data:`TILE_THRESHOLD_ELEMENTS` (its slab bound).
+  ``compile.py``, ``passes.py`` and ``engine.py`` import these from here
+  instead of keeping private copies.
 - **Cost-model tuning** (``tune="cost"``). For each lowered conv the
   tuner ranks its candidate schedules — dense GEMM vs native SPM gather,
   at the default or cache-sized slab tiling — with the analytic
@@ -47,7 +47,6 @@ __all__ = [
     "TILE_THRESHOLD_ELEMENTS",
     "gather_width_ratio",
     "prefer_gather",
-    "select_backend",
     "ConvSchedule",
     "TuningCache",
     "TuningCacheStats",
@@ -65,14 +64,13 @@ __all__ = [
 #: columns (|P| * n / k^2 <= limit), else decode once at compile time.
 GATHER_WIDTH_LIMIT = 1.0
 
-#: Eager pattern-backend policy: above this grouped-matrix expansion
-#: ratio the backend decodes and runs a dense GEMM instead (its job is
+#: Eager SPM policy: above this grouped-matrix expansion ratio the eager
+#: conv decodes the encoding and runs the dense GEMM instead (its job is
 #: demonstrating SPM-regular execution, so the bound is looser).
 GROUPED_EXPANSION_LIMIT = 4.0
 
-#: Workspace bound (elements) per im2col / gather slab: above this the
-#: slab backends tile over output rows and auto-selection prefers
-#: "tiled" over "dense".
+#: Workspace bound (elements) per eager im2col / gather slab: above it
+#: the eager conv runs over output-row slabs.
 TILE_THRESHOLD_ELEMENTS = 1 << 22
 
 #: Workspace budget (bytes) the measured tuner's "cache-sized" slab
@@ -96,27 +94,6 @@ def prefer_gather(encoded, kernel_area: int, limit: float = GATHER_WIDTH_LIMIT) 
         len(encoded.codebook), encoded.codebook.n_nonzero, kernel_area
     )
     return ratio <= limit
-
-
-def select_backend(request) -> str:
-    """Pick an engine backend name from a request's encoding and geometry.
-
-    First match: an SPM encoding routes to ``pattern``; a monolithic
-    im2col workspace above :data:`TILE_THRESHOLD_ELEMENTS` routes to
-    ``tiled``; everything else runs the ``dense`` reference GEMM.
-    (:func:`repro.runtime.engine.select_backend` delegates here.)
-    """
-    if request.encoded is not None:
-        return "pattern"
-    n, c_in, h, w = request.x.shape
-    _, _, kh, kw = request.weight_shape
-    from ..nn.functional import conv_output_size
-
-    oh = conv_output_size(h, kh, request.stride, request.padding)
-    ow = conv_output_size(w, kw, request.stride, request.padding)
-    if n * oh * ow * c_in * kh * kw > TILE_THRESHOLD_ELEMENTS:
-        return "tiled"
-    return "dense"
 
 
 # ---------------------------------------------------------------------

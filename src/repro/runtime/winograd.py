@@ -11,9 +11,9 @@ stack of dense GEMMs with ``(m+2)^2 / (9 m^2)`` of the direct MACs:
 This module owns the 1-D transform matrices, their Kronecker-squared 2-D
 forms, and the eligibility/selection rules shared by the ``winograd``
 compiler pass, the tune pass, and the cost model.  The execution loop
-itself is bound by :meth:`repro.runtime.compile.ConvOp._bind_winograd`; the
-``winograd`` engine backend in :mod:`repro.runtime.backends` wraps the
-same transforms for the generic per-request dispatch path.
+itself is bound by :meth:`repro.runtime.compile.ConvOp._bind_winograd`,
+the only Winograd executor; its tests check it against the eager
+im2col conv (:func:`repro.runtime.dispatch`).
 
 Numerics
 --------

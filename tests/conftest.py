@@ -1,4 +1,5 @@
-"""Shared pytest fixtures and numerical-gradient utilities."""
+"""Shared pytest fixtures, the naive conv oracle and numerical-gradient
+utilities."""
 
 from __future__ import annotations
 
@@ -13,6 +14,30 @@ from repro.nn.tensor import Tensor
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def reference_conv2d(x, w, b=None, stride=1, padding=1):
+    """Naive direct convolution used as ground truth.
+
+    Four nested Python loops over output positions, independent of the
+    im2col + GEMM eager conv that every other conv path is checked
+    against.
+    """
+    n, c_in, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((n, c_out, oh, ow))
+    for ni in range(n):
+        for co in range(c_out):
+            for i in range(oh):
+                for j in range(ow):
+                    window = xp[ni, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+                    out[ni, co, i, j] = np.sum(window * w[co])
+            if b is not None:
+                out[ni, co] += b[co]
+    return out
 
 
 def numerical_grad(

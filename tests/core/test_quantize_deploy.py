@@ -16,7 +16,7 @@ from repro.core import (
     quantize_symmetric,
 )
 from repro.models import patternnet
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.nn.functional import conv2d
 
 
@@ -186,8 +186,9 @@ class TestRestoreAttachesEncodings:
     through the dense backend."""
 
     def test_restored_convs_select_pattern_backend(self, tmp_path):
+        """Each restored conv's eager forward computes from its encoding."""
         from repro.nn import Conv2d
-        from repro.runtime.engine import ConvRequest, select_backend
+        from repro.runtime import dispatch
 
         model, pruner = fresh_pruned_model(seed=7, n=2)
         bundle = bundle_from_pruner(pruner)
@@ -199,9 +200,12 @@ class TestRestoreAttachesEncodings:
         assert convs
         for conv in convs:
             assert conv.encoded is not None
-            x = np.zeros((1, conv.in_channels, 8, 8))
-            request = ConvRequest(x=x, encoded=conv.encoded, padding=1)
-            assert select_backend(request) == "pattern"
+            x = np.random.default_rng(9).normal(size=(1, conv.in_channels, 8, 8))
+            with no_grad():
+                out = conv(Tensor(x)).data
+            assert conv.bias is None and conv.padding == 1
+            expected = dispatch(x, encoded=conv.encoded, padding=1)
+            np.testing.assert_array_equal(out, expected)
 
     def test_restore_reuses_bundle_cached_encoding(self):
         model, pruner = fresh_pruned_model(seed=9)

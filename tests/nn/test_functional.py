@@ -6,26 +6,7 @@ import pytest
 from repro.nn import Tensor
 from repro.nn import functional as F
 
-from tests.conftest import check_gradients
-
-
-def reference_conv2d(x, w, b=None, stride=1, padding=1):
-    """Naive direct convolution used as ground truth."""
-    n, c_in, h, wd = x.shape
-    c_out, _, kh, kw = w.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((n, c_out, oh, ow))
-    for ni in range(n):
-        for co in range(c_out):
-            for i in range(oh):
-                for j in range(ow):
-                    window = xp[ni, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
-                    out[ni, co, i, j] = np.sum(window * w[co])
-            if b is not None:
-                out[ni, co] += b[co]
-    return out
+from tests.conftest import check_gradients, reference_conv2d
 
 
 class TestIm2col:

@@ -95,45 +95,6 @@ class TestCompiledEquivalence:
         spm_ops = [op for op in compiled.ops if getattr(op, "encoded", None) is not None]
         assert spm_ops and not any(op.use_gather for op in spm_ops)
 
-    @pytest.mark.parametrize("quantize", [None, "int8"], ids=["float", "int8"])
-    def test_backend_override_rejected_on_compiled_calls(self, quantize):
-        """backend= is eager-only: every compiled call rejects it up
-        front with a typed error instead of running something else."""
-        model = _pruned(MODELS["simplecnn"](), 2)
-        x = np.random.default_rng(6).normal(size=(2, 3, 12, 12))
-        compiled = runtime.compile_model(model, quantize=quantize, calibration=x)
-        with pytest.raises(ValueError, match="eager-only"):
-            runtime.predict(compiled, x, backend="tiled")
-        with pytest.raises(ValueError, match="eager-only"):
-            runtime.predict(
-                model, x, compile=True, quantize=quantize, backend="dense"
-            )
-        with pytest.raises(TypeError):
-            compiled(x, backend="tiled")
-        # The eager model still honours it.
-        np.testing.assert_allclose(
-            runtime.predict(model, x, backend="tiled"),
-            runtime.predict(model, x),
-            rtol=1e-9,
-            atol=1e-12,
-        )
-
-    def test_pinned_backend_conv_lowers_to_module_op(self):
-        """A Conv2d pinned to an engine backend keeps its pin through
-        a visible ModuleOp, and the pipeline still matches eager."""
-        model = _pruned(MODELS["simplecnn"](), 2)
-        x = np.random.default_rng(6).normal(size=(2, 3, 12, 12))
-        conv = next(m for m in model.modules() if isinstance(m, nn.Conv2d))
-        conv.backend = "pattern"
-        try:
-            reference = runtime.predict(model, x)
-            compiled = runtime.compile_model(model)
-            assert "module:Conv2d" in compiled.describe()
-            assert [type(op).__name__ for op in compiled.ops].count("ModuleOp") == 1
-            np.testing.assert_allclose(compiled(x), reference, rtol=1e-4, atol=1e-5)
-        finally:
-            conv.backend = None
-
     def test_features_only_model_keeps_nchw_layout(self):
         from repro.models.vgg import VGG16
 
@@ -241,15 +202,6 @@ class TestEpilogue:
         mat = np.array([[-1.0, 1.0]])
         runtime.Epilogue(bias=np.array([0.5, -3.0]), relu=True).apply(mat)
         np.testing.assert_array_equal(mat, [[0.0, 0.0]])
-
-    def test_dispatch_bias_and_epilogue_conflict(self):
-        x = np.zeros((1, 2, 4, 4))
-        w = np.zeros((3, 2, 3, 3))
-        with pytest.raises(ValueError, match="not both"):
-            runtime.dispatch(
-                x, w, bias=np.zeros(3),
-                epilogue=runtime.Epilogue(bias=np.zeros(3)),
-            )
 
 
 class TestArena:

@@ -3,9 +3,10 @@
 Three claims, each checked over randomly drawn geometries rather than a
 handful of fixtures:
 
-- the Winograd F(m,3) schedules agree with the im2col reference across
-  the whole eligibility boundary (tiny outputs, partial edge tiles, odd
-  sizes, both paddings, dense and SPM-decoded weights, float32/float64);
+- the compiled Winograd F(m,3) schedules (m = 2, 4) agree with the eager
+  im2col conv across the whole eligibility boundary (tiny outputs,
+  partial edge tiles, odd sizes, both paddings, dense and SPM-decoded
+  weights, float32/float64);
 - the blocked int8 GEMM kernel is *bit-identical* to the reference
   integer GEMM — including ragged K tails around ``INT8_BLOCK_K``,
   ``k == 0`` and empty batches — which is the exactness certificate the
@@ -32,6 +33,8 @@ from repro.core import (
     project_to_patterns,
 )
 from repro.models import patternnet
+from repro.runtime import winograd
+from repro.runtime.compile import ConvOp, _ExecState
 from repro.runtime.quant import (
     INT8_BLOCK_K,
     int8_gemm_int32,
@@ -39,8 +42,26 @@ from repro.runtime.quant import (
 )
 
 
+def compiled_winograd(x, m, weight=None, encoded=None, padding=1):
+    """One compiled Winograd F(m x m, 3x3) ``ConvOp`` on an NCHW batch.
+
+    ``dtype=None`` keeps the parameters' precision, so float64 inputs
+    run the transforms in float64.
+    """
+    c_out, c_in = (encoded.shape if encoded is not None else weight.shape)[:2]
+    op = ConvOp(
+        stride=1, padding=padding, kernel=(3, 3), c_in=c_in, c_out=c_out,
+        tag="wino", weight=weight, encoded=encoded, wino_m=m,
+    )
+    assert op.schedule_kind() == f"winograd{m}"
+    state = _ExecState(arena=runtime.Arena(), plans=runtime.PlanCache())
+    out = op.run(np.ascontiguousarray(x.transpose(0, 2, 3, 1)), state)
+    return out.transpose(0, 3, 1, 2)
+
+
 class TestWinogradProperty:
-    """Winograd vs im2col over the eligibility boundary."""
+    """The compiled Winograd schedule vs the eager im2col conv over the
+    eligibility boundary."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -50,14 +71,15 @@ class TestWinogradProperty:
         c_out=st.sampled_from([2, 8]),
         padding=st.integers(min_value=0, max_value=1),
         batch=st.integers(min_value=1, max_value=3),
+        m=st.sampled_from([2, 4]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_dense_matches_im2col(self, h, w, c_in, c_out, padding, batch, seed):
+    def test_dense_matches_im2col(self, h, w, c_in, c_out, padding, batch, m, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(batch, c_in, h, w))
         weight = rng.normal(size=(c_out, c_in, 3, 3))
-        reference = runtime.dispatch(x, weight, padding=padding, backend="dense")
-        out = runtime.dispatch(x, weight, padding=padding, backend="winograd")
+        reference = runtime.dispatch(x, weight, padding=padding)
+        out = compiled_winograd(x, m, weight=weight, padding=padding)
         # float64 compute: the transforms round at machine epsilon, far
         # inside the repo-wide 1e-4 equivalence budget.
         np.testing.assert_allclose(out, reference, rtol=1e-9, atol=1e-10)
@@ -67,30 +89,32 @@ class TestWinogradProperty:
         hw=st.integers(min_value=4, max_value=11),
         n=st.integers(min_value=1, max_value=4),
         num_patterns=st.sampled_from([2, 4, 8]),
+        m=st.sampled_from([2, 4]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_spm_decoded_matches_im2col(self, hw, n, num_patterns, seed):
+    def test_spm_decoded_matches_im2col(self, hw, n, num_patterns, m, seed):
         rng = np.random.default_rng(seed)
         patterns = enumerate_patterns(n)[:num_patterns]
         weight = project_to_patterns(rng.normal(size=(8, 4, 3, 3)), patterns)
         encoded = encode_layer(weight, SPMCodebook(patterns))
         x = rng.normal(size=(2, 4, hw, hw))
-        reference = runtime.dispatch(x, encoded=encoded, padding=1, backend="dense")
-        out = runtime.dispatch(x, encoded=encoded, padding=1, backend="winograd")
+        reference = runtime.dispatch(x, encoded=encoded, padding=1)
+        out = compiled_winograd(x, m, encoded=encoded)
         np.testing.assert_allclose(out, reference, rtol=1e-9, atol=1e-10)
 
     @settings(max_examples=15, deadline=None)
     @given(
         hw=st.sampled_from([4, 6, 9, 16]),
+        m=st.sampled_from([2, 4]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_float32_within_equivalence_budget(self, hw, seed):
+    def test_float32_within_equivalence_budget(self, hw, m, seed):
         """float32 Winograd stays inside the repo-wide 1e-4 budget."""
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(2, 16, hw, hw)).astype(np.float32)
         weight = rng.normal(size=(8, 16, 3, 3)).astype(np.float32)
-        reference = runtime.dispatch(x, weight, padding=1, backend="dense")
-        out = runtime.dispatch(x, weight, padding=1, backend="winograd")
+        reference = runtime.dispatch(x, weight, padding=1)
+        out = compiled_winograd(x, m, weight=weight)
         assert out.dtype == np.float32
         scale = max(1.0, float(np.abs(reference).max()))
         assert float(np.abs(out - reference).max()) / scale <= 1e-4
@@ -109,20 +133,11 @@ class TestWinogradProperty:
         assert float(np.abs(wino(x) - gemm(x)).max()) <= 1e-4
 
     def test_ineligible_geometry_rejected(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError, match="does not support"):
-            runtime.dispatch(
-                rng.normal(size=(1, 4, 8, 8)),
-                rng.normal(size=(8, 4, 3, 3)),
-                stride=2,
-                backend="winograd",
-            )
-        with pytest.raises(ValueError, match="does not support"):
-            runtime.dispatch(
-                rng.normal(size=(1, 4, 8, 8)),
-                rng.normal(size=(8, 4, 5, 5)),
-                backend="winograd",
-            )
+        """F(m, 3) covers 3x3 stride-1 convs only: no tile is offered
+        for stride 2 or a 5x5 kernel."""
+        assert winograd.eligible_tiles(kernel=(3, 3), stride=1, out_hw=(8, 8), c_in=4)
+        assert winograd.eligible_tiles(kernel=(3, 3), stride=2, out_hw=(8, 8), c_in=4) == ()
+        assert winograd.eligible_tiles(kernel=(5, 5), stride=1, out_hw=(8, 8), c_in=4) == ()
 
 
 class TestInt8KernelExactness:
@@ -337,8 +352,6 @@ class TestNeverPersistSlower:
         pruner.apply()
         pruner.attach_encodings()
         static = runtime.compile_model(model, winograd=False)
-        from repro.runtime.compile import ConvOp
-
         heuristic = {
             op.tag: ("gather" if op.use_gather else "dense")
             for op in static.ops

@@ -4,16 +4,17 @@ charges only what is really resident."""
 
 import gc
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from repro import runtime
+from repro import nn, runtime
 from repro.core import PCNNConfig, PCNNPruner
 from repro.models import patternnet, resnet18_cifar
 from repro.runtime.arena import Arena
-from repro.runtime.compile import ConvOp
+from repro.runtime.compile import ConvOp, LinearOp
 from repro.runtime.quant import QuantConvOp
 
 SHAPE = (3, 16, 16)
@@ -85,7 +86,7 @@ class TestOneCopy:
         operands = 0
         for op in convs:
             assert op.weight is None  # the encoding is the only source copy
-            assert op.encoded._decoded is None  # decodes are transient
+            assert op.encoded.cached_nbytes == 0  # decodes are transient
             assert op._grouped_t is None
             if op.wino_m:
                 assert op.weight_t is None
@@ -105,7 +106,7 @@ class TestOneCopy:
         for op in convs:
             assert op.int8_kernel == "blocked"
             assert op.weight_t is None
-            assert op.encoded._decoded is None
+            assert op.encoded.cached_nbytes == 0
             k = 9 * op.c_in + int(op._bias_folded)
             assert sum(block.size for block in op._w_blocks) == k * op.c_out
             assert all(block.dtype == np.float32 for block in op._w_blocks)
@@ -119,6 +120,32 @@ class TestOneCopy:
         biases = sum(op.bias.nbytes for op in _convs(compiled))
         head = sum(op.param_nbytes() for op in compiled.iter_ops() if not isinstance(op, ConvOp))
         assert compiled.memory_report()["parameters"] == encodings + biases + head
+
+
+    def test_linear_operand_built_once_at_lowering(self):
+        """Binding a compiled Linear at new batch sizes allocates only its
+        activation buffers: every thunk shares the one transposed weight
+        built at lowering, and memory_report() counts it."""
+        model = nn.Sequential(nn.Flatten(), nn.Linear(2048, 2048, rng=np.random.default_rng(4)))
+        compiled = runtime.compile_model(model)
+        (linear,) = [op for op in compiled.ops if isinstance(op, LinearOp)]
+        assert linear.weight_t.shape == (2048, 2048) and linear.weight_t.flags.c_contiguous
+        operand_bytes = linear.weight_t.nbytes + linear.bias.nbytes
+        assert compiled.memory_report()["parameters"] == operand_bytes
+        assert compiled.dense_macs((2048, 1, 1)) == 2048 * 2048
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for batch in (1, 2, 4, 8):
+                compiled(np.ones((batch, 2048, 1, 1)))
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        report = compiled.memory_report()
+        assert report["parameters"] == operand_bytes
+        # The arenas hold the input casts and outputs of the four
+        # geometries (0.35 MiB); a per-bind weight copy would add 16 MiB each.
+        assert growth <= report["arenas"] + 2**18
 
 
 class TestScratchSlabs:

@@ -35,15 +35,6 @@ class TestPlanCache:
         assert cache.stats.misses == 4
         assert cache.stats.hits == 0
 
-    def test_backend_is_part_of_the_key(self):
-        rng = np.random.default_rng(2)
-        weight = rng.normal(size=(8, 4, 3, 3))
-        x = rng.normal(size=(1, 4, 8, 8))
-        cache = PlanCache()
-        dispatch(x, weight, padding=1, backend="dense", cache=cache)
-        dispatch(x, weight, padding=1, backend="tiled", cache=cache)
-        assert cache.stats.misses == 2
-
     def test_invalidate_and_clear(self):
         rng = np.random.default_rng(3)
         weight = rng.normal(size=(8, 4, 3, 3))
@@ -150,23 +141,37 @@ class TestEncodedLayerCaches:
         assert grouped.shape == (4 * c_in * encoded.values.shape[1], c_out)
         assert encoded.grouped_weight_matrix() is grouped
 
-    def test_decoded_weight_cached(self):
-        rng = np.random.default_rng(10)
-        weight, encoded = make_encoded(rng)
-        decoded = encoded.decoded_weight()
-        assert encoded.decoded_weight() is decoded
-        np.testing.assert_array_equal(decoded, weight)
+    def test_eager_predict_leaves_no_decoded_weight(self):
+        """An eager predict on a model whose codebooks exceed the grouped
+        expansion limit (|P|=32, n=2, like the VGG-16 flagship) decodes
+        each layer for the call only: nothing stays memoized."""
+        from repro import runtime
+        from repro.core import PCNNConfig, PCNNPruner
+        from repro.models import patternnet
+        from repro.runtime.tune import GROUPED_EXPANSION_LIMIT, gather_width_ratio
+
+        model = patternnet(rng=np.random.default_rng(10))
+        pruner = PCNNPruner(model, PCNNConfig.uniform(2, 3))
+        pruner.apply()
+        x = np.random.default_rng(11).normal(size=(2, 3, 16, 16))
+        reference = runtime.predict(model, x)  # dense weights, no encoding
+        encodings = pruner.attach_encodings()
+        for enc in encodings.values():
+            ratio = gather_width_ratio(len(enc.codebook), enc.codebook.n_nonzero, 9)
+            assert ratio > GROUPED_EXPANSION_LIMIT
+        out = runtime.predict(model, x)
+        np.testing.assert_allclose(out, reference, rtol=1e-9, atol=1e-12)
+        assert sum(enc.cached_nbytes for enc in encodings.values()) == 0
 
     def test_invalidate_caches(self):
         rng = np.random.default_rng(8)
         _, encoded = make_encoded(rng)
         plan = encoded.gather_plan()
         grouped = encoded.grouped_weight_matrix()
-        decoded = encoded.decoded_weight()
-        encoded.invalidate_caches()
+        assert encoded.invalidate_caches() == plan.positions_by_code.nbytes + grouped.nbytes
+        assert encoded.cached_nbytes == 0
         assert encoded.gather_plan() is not plan
         assert encoded.grouped_weight_matrix() is not grouped
-        assert encoded.decoded_weight() is not decoded
 
     def test_stale_cache_detected_by_invalidation(self):
         """Mutating values + invalidating re-derives the grouped matrix."""

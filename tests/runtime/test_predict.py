@@ -33,16 +33,6 @@ class TestPredict:
         split = runtime.predict(model, batch, micro_batch=micro_batch)
         np.testing.assert_allclose(split, full, rtol=1e-9, atol=1e-12)
 
-    def test_backend_override_is_equivalent_and_restored(self, model, batch):
-        full = runtime.predict(model, batch)
-        tiled = runtime.predict(model, batch, backend="tiled")
-        np.testing.assert_allclose(tiled, full, rtol=1e-9, atol=1e-10)
-        assert all(
-            conv.backend is None
-            for conv in model.modules()
-            if isinstance(conv, nn.Conv2d)
-        )
-
     def test_training_mode_restored(self, model, batch):
         model.train()
         runtime.predict(model, batch[:2])
@@ -68,8 +58,8 @@ class TestPredict:
         np.testing.assert_allclose(out, direct, rtol=1e-9, atol=1e-12)
 
     def test_pruned_model_with_attached_encodings(self, batch):
-        """attach_encodings() routes pruned convs through the pattern
-        backend on the fast path — and forcing it explicitly works too."""
+        """attach_encodings() routes pruned convs through the eager SPM
+        path on the fast path, with the same outputs."""
         pruned = patternnet(channels=(8, 16), num_classes=4, rng=np.random.default_rng(3))
         pruner = PCNNPruner(pruned, PCNNConfig.uniform(2, 2))
         pruner.apply()
@@ -77,9 +67,7 @@ class TestPredict:
         encoded = pruner.attach_encodings()
         assert set(encoded) == {name for name, _ in pruner.layers}
         auto = runtime.predict(pruned, batch)
-        forced = runtime.predict(pruned, batch, backend="pattern")
         np.testing.assert_allclose(auto, reference, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(forced, reference, rtol=1e-9, atol=1e-12)
 
     def test_attach_encoding_validates_and_clears(self):
         conv = nn.Conv2d(3, 4, kernel_size=3, rng=np.random.default_rng(4))

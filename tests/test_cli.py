@@ -48,32 +48,20 @@ class TestCLI:
         assert "output shape: (4, 10)" in out
         assert "hits" in out
 
-    def test_predict_pruned_with_backend(self, capsys):
+    def test_predict_pruned(self, capsys):
+        """Pruned models carry SPM encodings, so the eager model executes
+        straight from sparse storage."""
         assert main(["predict", "--model", "patternnet", "--n", "2",
-                     "--batch", "2", "--repeat", "1", "--backend", "dense"]) == 0
+                     "--batch", "2", "--repeat", "1"]) == 0
         out = capsys.readouterr().out
         assert "n=2-2-2" in out
-        assert "dense" in out
-
-    def test_predict_pruned_pattern_backend(self, capsys):
-        """Pruned models carry SPM encodings, so forcing the pattern
-        backend executes straight from sparse storage."""
-        assert main(["predict", "--model", "patternnet", "--n", "2",
-                     "--batch", "2", "--repeat", "1", "--backend", "pattern"]) == 0
-        out = capsys.readouterr().out
-        assert "pattern" in out
         assert "output shape: (2, 10)" in out
-
-    def test_predict_compiled_rejects_backend(self, capsys):
-        assert main(["predict", "--model", "patternnet", "--batch", "2",
-                     "--repeat", "1", "--compile", "--backend", "dense"]) == 2
-        assert "backend= is eager-only" in capsys.readouterr().err
 
     def test_predict_bad_args_exit_cleanly(self, capsys):
         assert main(["predict", "--model", "patternnet", "--batch", "2",
                      "--repeat", "0"]) == 2
         assert main(["predict", "--model", "patternnet", "--batch", "2",
-                     "--repeat", "1", "--backend", "nope"]) == 2
+                     "--repeat", "1", "--micro-batch", "0"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
 
