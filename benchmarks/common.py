@@ -258,13 +258,19 @@ def _bench_winograd(model, x, batch: int) -> dict:
 def _bench_int8_kernel(model, x, batch: int) -> dict:
     """True-integer int8 GEMM datapath vs the float-carried code GEMM.
 
-    Both pipelines quantize identically (same scales, same codes); the
-    only axis is the GEMM kernel: ``kernel="blocked"`` runs the exact
-    integer kernel, ``kernel="float"`` carries the codes in the float
-    dtype. ``kernel_bit_exact_vs_reference`` additionally probes
-    the blocked kernel against the reference integer GEMM on random
-    codes with a ragged K tail — bit-identity here is the exactness
-    certificate the guard hard-gates.
+    Both timed pipelines quantize identically (same scales, same codes)
+    and run the same column-GEMM schedule (the integer leg compiles with
+    ``winograd=False``, since the float-carried kernel never runs int8
+    Winograd); the only axis is the GEMM kernel: ``kernel="blocked"``
+    runs the exact integer kernel, ``kernel="float"`` carries the codes
+    in the float dtype. ``kernel_bit_exact_vs_reference`` additionally
+    probes the blocked kernel against the reference integer GEMM on
+    random codes with a ragged K tail — bit-identity here is the
+    exactness certificate the guard hard-gates. The default integer
+    compile runs its eligible layers on the exact int8 F(2x2,3x3)
+    schedule (``int8_winograd_layers``); ``int8_winograd_bit_exact``
+    records that its logits equal the ``winograd=False`` compile's byte
+    for byte, which the guard hard-gates too.
     """
     from repro import runtime
     from repro.runtime.quant import (
@@ -280,8 +286,13 @@ def _bench_int8_kernel(model, x, batch: int) -> dict:
     floatk = runtime.compile_model(
         model, quantize=QuantizationConfig(kernel="float"), calibration=calib
     )
-    int_out = integer(x)
+    column = runtime.compile_model(
+        model, quantize=QuantizationConfig(kernel="blocked"), calibration=calib,
+        winograd=False,
+    )
+    int_out = column(x)
     float_out = floatk(x)
+    winograd_bit_exact = bool(np.array_equal(integer(x), int_out))
     rel_diff = float(
         np.linalg.norm(int_out - float_out) / np.linalg.norm(float_out)
     )
@@ -295,7 +306,7 @@ def _bench_int8_kernel(model, x, batch: int) -> dict:
 
     samples = _interleaved_ips(
         {
-            "integer": lambda: runtime.predict(integer, x),
+            "integer": lambda: runtime.predict(column, x),
             "float": lambda: runtime.predict(floatk, x),
         },
         batch,
@@ -303,12 +314,14 @@ def _bench_int8_kernel(model, x, batch: int) -> dict:
     int_s = np.array(samples["integer"])
     float_s = np.array(samples["float"])
     return {
-        "int8_kernel": integer.quantization.int8_kernel,
+        "int8_kernel": column.quantization.int8_kernel,
         "float_gemm_images_per_sec": round(float(np.median(float_s)), 2),
         "int_gemm_images_per_sec": round(float(np.median(int_s)), 2),
         "speedup_int_vs_float_gemm": round(float(np.median(int_s / float_s)), 3),
         "rel_diff_int_vs_float_gemm": round(rel_diff, 6),
         "kernel_bit_exact_vs_reference": bit_exact,
+        "int8_winograd_layers": _winograd_layer_count(integer),
+        "int8_winograd_bit_exact": winograd_bit_exact,
     }
 
 
@@ -352,8 +365,10 @@ def bench_runtime(path: str = "BENCH_runtime.json", batch: int = 32) -> dict:
 
     Two configurations, both against PR 1's eager ``predict``:
 
-    - ``pcnn_n2_p8`` — the paper's flagship Table-I setting (n=2, |P|=8,
-      SPM encodings attached): eager serves through the float64 SPM
+    - ``pcnn_n2_p8`` — the paper's flagship Table-I setting
+      (``PCNNConfig.uniform(2, 13)``: n=2 with 32-pattern codebooks —
+      the key keeps its historical ``p8`` name so baselines stay
+      comparable — SPM encodings attached): eager serves through the float64 SPM
       path of the eager conv, the compiled pipeline through its lowered ops. This is
       the serving scenario the repo exists for and the headline
       ``speedup_compiled_vs_eager``.
@@ -445,18 +460,19 @@ def bench_runtime(path: str = "BENCH_runtime.json", batch: int = 32) -> dict:
 def bench_quant(path: str = "BENCH_quant.json", batch: int = 32) -> dict:
     """Int8 vs float32 compiled serving on the flagship configuration.
 
-    The paper's Table-I flagship (VGG-16 CIFAR, n=2, |P|=8, SPM
-    encodings attached) compiled twice — plain float32 and
-    ``quantize="int8"`` — and compared on (a) accuracy: relative output
-    error and top-1 agreement on a synthetic eval batch, and (b)
-    throughput: interleaved median images/sec and the median per-trial
-    int8/float32 ratio. Both pipelines run the same GEMM schedule — the
-    float leg is compiled with ``winograd=False`` because the Winograd
-    transforms void the int8 integer-exactness contract, so quantized
-    convs can never ride them; leaving the fast path on only the float
-    leg would fold a schedule difference into what this record isolates,
-    the quantization axis (``float32_winograd: false`` documents the
-    choice). On matched im2col schedules the int8 path wins outright:
+    The paper's Table-I flagship (VGG-16 CIFAR,
+    ``PCNNConfig.uniform(2, 13)``: n=2, |P|=32, SPM encodings attached)
+    compiled twice — plain float32 and ``quantize="int8"`` — and
+    compared on (a) accuracy: relative output error and top-1 agreement
+    on a synthetic eval batch, and (b) throughput: interleaved median
+    images/sec and the median per-trial int8/float32 ratio. Both
+    pipelines run the same GEMM schedule: both compile with
+    ``winograd=False`` (``float32_winograd``/``int8_winograd: false``),
+    because the float leg would run F(4x4) where the int8 leg can only
+    run F(2x2), folding a schedule difference into what this record
+    isolates, the quantization axis. The exact int8 Winograd schedule
+    is measured by the ``int8_int32`` row of ``BENCH_runtime.json``.
+    On matched im2col schedules the int8 path wins outright:
     int8-source im2col reads, single-span f32 accumulation under the
     value-aware exactness certificate, folded integer bias, and the
     fused band-wise requantize epilogue (``int8_kernel`` records which
@@ -475,7 +491,9 @@ def bench_quant(path: str = "BENCH_quant.json", batch: int = 32) -> dict:
     pruner.attach_encodings()
 
     compiled_f32 = runtime.compile_model(model, winograd=False)
-    compiled_int8 = runtime.compile_model(model, quantize="int8", calibration=x[:8])
+    compiled_int8 = runtime.compile_model(
+        model, quantize="int8", calibration=x[:8], winograd=False
+    )
     report = compiled_int8.quantization
 
     # Accuracy on a held-out synthetic eval batch.
@@ -523,6 +541,7 @@ def bench_quant(path: str = "BENCH_quant.json", batch: int = 32) -> dict:
         "fallback_layers": report.fallback_layers,
         "int8_kernel": report.int8_kernel,
         "float32_winograd": False,
+        "int8_winograd": False,
         "max_layer_weight_error": round(
             max(row["error"] for row in report.layers), 5
         ),
@@ -877,9 +896,13 @@ def smoke() -> int:
         f"{int8_row['int_gemm_images_per_sec']} ips "
         f"({int8_row['speedup_int_vs_float_gemm']}x, "
         f"rel diff {int8_row['rel_diff_int_vs_float_gemm']:.1e}, "
-        f"bit-exact {int8_row['kernel_bit_exact_vs_reference']})"
+        f"bit-exact {int8_row['kernel_bit_exact_vs_reference']}, "
+        f"{int8_row['int8_winograd_layers']} int8 Winograd layers, "
+        f"identical to winograd=False {int8_row['int8_winograd_bit_exact']})"
     )
     assert int8_row["kernel_bit_exact_vs_reference"], int8_row
+    assert int8_row["int8_winograd_bit_exact"], int8_row
+    assert int8_row["int8_winograd_layers"] >= 1, int8_row
     # The two pipelines share scales and codes; they only differ in the
     # requantize epilogue's rounding precision, so the outputs stay
     # within a sliver of the quantization error itself.

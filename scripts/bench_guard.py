@@ -30,8 +30,10 @@ Policy:
   this) — **hard fail**, within-run: the ``winograd`` row's schedules
   must agree with the im2col reference within 1e-4 and cover at least
   8 flagship layers; the ``int8_int32`` row's blocked integer kernel
-  must be bit-identical to the reference integer GEMM and its pipeline
-  within 2% of the float-carried one; the ``batch1`` row's batch-1
+  must be bit-identical to the reference integer GEMM, its logits
+  byte-identical to a ``winograd=False`` compile (the exact int8
+  Winograd layers), and its pipeline within 2% of the float-carried
+  one; the ``batch1`` row's batch-1
   compiled PatternNet must match eager within 1e-4. A flagship
   ``speedup_tuned_vs_compiled`` below 0.95 additionally **warns** that
   measured tuning went slower than the static default beyond probe
@@ -324,7 +326,9 @@ def check_runtime_kernels(fresh: dict) -> Tuple[List[str], List[str]]:
       (``kernel_bit_exact_vs_reference``), and the integer pipeline's
       outputs must stay within ``INT8_KERNEL_REL_DIFF_CEILING`` of the
       float-carried pipeline (same scales, same codes — only the
-      epilogue's rounding precision differs);
+      epilogue's rounding precision differs), and its logits must equal
+      a ``winograd=False`` compile's byte for byte
+      (``int8_winograd_bit_exact``: the exact int8 F(2x2) schedule);
     - ``batch1`` row: the batch-1 compiled PatternNet must match eager
       within the same 1e-4 budget.
 
@@ -369,6 +373,14 @@ def check_runtime_kernels(fresh: dict) -> Tuple[List[str], List[str]]:
                 "to the reference integer GEMM — the exactness "
                 "certificate is broken"
             )
+        if int8_row.get("int8_winograd_bit_exact") is not True:
+            failures.append(
+                f"int8_int32: int8 logits with "
+                f"{int8_row.get('int8_winograd_layers')} Winograd layer(s) "
+                f"are not byte-identical to the winograd=False compile "
+                f"(int8_winograd_bit_exact="
+                f"{int8_row.get('int8_winograd_bit_exact')})"
+            )
         rel = int8_row.get("rel_diff_int_vs_float_gemm")
         if rel is None or rel > INT8_KERNEL_REL_DIFF_CEILING:
             failures.append(
@@ -376,10 +388,16 @@ def check_runtime_kernels(fresh: dict) -> Tuple[List[str], List[str]]:
                 f"float-carried reference (rel_diff={rel}, ceiling "
                 f"{INT8_KERNEL_REL_DIFF_CEILING})"
             )
-        if int8_row.get("kernel_bit_exact_vs_reference") and rel is not None:
+        if (
+            int8_row.get("kernel_bit_exact_vs_reference")
+            and int8_row.get("int8_winograd_bit_exact") is True
+            and rel is not None
+        ):
             notes.append(
                 f"int8_int32: kernel '{int8_row.get('int8_kernel')}' "
-                f"bit-exact, pipeline rel diff {rel:.1e}, "
+                f"bit-exact, {int8_row.get('int8_winograd_layers')} "
+                f"Winograd layer(s) byte-identical to im2col, "
+                f"pipeline rel diff {rel:.1e}, "
                 f"{int8_row.get('speedup_int_vs_float_gemm')}x vs "
                 f"float-carried GEMM"
             )

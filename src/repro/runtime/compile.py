@@ -86,23 +86,13 @@ _derive_lock = threading.RLock()
 @dataclass
 class Epilogue:
     """Fused post-GEMM work of a compiled conv: per-output-channel bias
-    add and/or ReLU, folded into the GEMM output while the tile is still
-    cache-hot instead of run as separate full-tensor passes. The
-    ``fuse_epilogues`` pass sets the ReLU; ``fold_bn`` supplies the
-    folded BN bias."""
+    add and/or ReLU, which :meth:`ConvOp._epilogue` folds into the GEMM
+    output while the tile is still cache-hot instead of running them as
+    separate full-tensor passes. The ``fuse_epilogues`` pass sets the
+    ReLU; ``fold_bn`` supplies the folded BN bias."""
 
     bias: Optional[np.ndarray] = None  # (C_out,), added per output channel
     relu: bool = False
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        """Apply to a ``(windows, C_out)`` matrix (or row tile) in place."""
-        if self.bias is not None:
-            # Harmonise dtype so a float64 bias cannot silently promote a
-            # float32 activation path; += keeps the add allocation-free.
-            mat += self.bias.astype(mat.dtype, copy=False)
-        if self.relu:
-            np.maximum(mat, 0.0, out=mat)
-        return mat
 
 
 # ---------------------------------------------------------------------
@@ -335,6 +325,19 @@ def _out_buffer(arena: Arena, tag: str, halo, shape, dtype) -> np.ndarray:
     return arena.take(f"{tag}:out", shape, dtype)
 
 
+@dataclass(frozen=True)
+class _WinoOperand:
+    """What one conv's Winograd schedule multiplies by and how it
+    accumulates (see :meth:`ConvOp._wino_operand`)."""
+
+    u: np.ndarray  # (f, C_in, C_out) transformed weights, the GEMM dtype
+    spans: Tuple[Tuple[int, int], ...]  # C_in spans of the domain GEMM
+    stage: np.dtype  # dtype of M and of the output transform
+    at: np.ndarray  # (m*m, f) output transform, in ``stage``
+    acc: np.dtype  # accumulator dtype handed to the epilogue
+    bias: Optional[np.ndarray]  # added before the epilogue (None: it adds it)
+
+
 @dataclass
 class ConvOp(_InferenceOp):
     """Channels-last convolution with folded BN and a fused epilogue.
@@ -553,25 +556,37 @@ class ConvOp(_InferenceOp):
         k = weight_t.shape[0] - self.bias_rows
         return [(0, k)], [weight_t], self.bias_rows
 
+    def _band_budget(self) -> int:
+        """Workspace bytes one band may use: ``band_bytes``, capped by a
+        tuned ``slab_bytes``."""
+        if self.slab_bytes is None:
+            return self.band_bytes
+        return min(self.band_bytes, self.slab_bytes)
+
+    def _image_bands(self, n: int, image_bytes: int) -> List[Tuple[int, int]]:
+        """``(i0, i1)`` bands of whole images: one band when all ``n``
+        fit the budget, otherwise balanced bands of as many images as
+        fit (at least one each)."""
+        budget = self._band_budget()
+        if n * image_bytes <= budget:
+            return [(0, n)]
+        imgs = max(1, budget // image_bytes)
+        imgs = -(-n // (-(-n // imgs)))  # balance the band sizes
+        return [(i0, min(i0 + imgs, n)) for i0 in range(0, n, imgs)]
+
     def _bands(self, n: int, oh: int, row_bytes: int) -> List[Tuple[int, int, int, int]]:
         """Split the output into ``(i0, i1, r0, r1)`` image x row bands.
 
-        One band when the columns fit the budget; otherwise balanced
-        bands of whole images (contiguous accumulator rows, so the GEMM
-        writes in place), or of output rows when one image alone
-        outgrows the budget. ``row_bytes`` is one output row's columns.
+        Whole-image bands (:meth:`_image_bands`; contiguous accumulator
+        rows, so the GEMM writes in place), or bands of output rows when
+        one image alone outgrows the budget. ``row_bytes`` is one output
+        row's columns.
         """
-        budget = self.band_bytes
-        if self.slab_bytes is not None:
-            budget = min(budget, self.slab_bytes)
-        if n * oh * row_bytes <= budget:
-            return [(0, n, 0, oh)]
-        if oh * row_bytes <= budget:
-            imgs = max(1, budget // (oh * row_bytes))
-            imgs = -(-n // (-(-n // imgs)))  # balance the band sizes
-            return [(i0, min(i0 + imgs, n), 0, oh) for i0 in range(0, n, imgs)]
-        rows = max(1, budget // (n * row_bytes))
-        return [(0, n, r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
+        budget = self._band_budget()
+        if n * oh * row_bytes > budget and oh * row_bytes > budget:
+            rows = max(1, budget // (n * row_bytes))
+            return [(0, n, r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
+        return [(i0, i1, 0, oh) for i0, i1 in self._image_bands(n, oh * row_bytes)]
 
     def _bind_gemm(self, x, state):
         """Bind the column GEMM schedule for ``x``: im2col columns times
@@ -746,12 +761,15 @@ class ConvOp(_InferenceOp):
         return self._grouped_t
 
     # -- Winograd F(m x m, 3x3) schedule ------------------------------
-    def _wino_operand(self, m: int, dtype) -> np.ndarray:
-        """Memoized transformed weights ``U = (G(x)G) W``, ``(f, C_in, C_out)``."""
+    def _wino_operand(self, m: int, x_dtype) -> "_WinoOperand":
+        """The Winograd operand for tile ``m``: the memoized transformed
+        weights ``U = (G(x)G) W``, ``(f, C_in, C_out)`` in the GEMM
+        dtype, run as one span staged in that same dtype."""
+        dtype = np.result_type(x_dtype, self._param_dtype())
         f = (m + 2) ** 2
 
         def stale(u):
-            return u is None or u.shape[0] != f or u.dtype != np.dtype(dtype)
+            return u is None or u.shape[0] != f or u.dtype != dtype
 
         u = self._wino_u
         if stale(u):
@@ -762,7 +780,24 @@ class ConvOp(_InferenceOp):
                         9, self.c_in, self.c_out
                     )
                     u = self._wino_u = wino_weight_transform(w9, m, dtype)
-        return u
+        bias = self.epilogue.bias.astype(dtype) if self.bias_rows else None
+        return _WinoOperand(
+            u=u, spans=((0, self.c_in),), stage=dtype,
+            at=wino_transforms(m, dtype)[2], acc=dtype, bias=bias,
+        )
+
+    def _tile_rule(self, out_hw) -> int:
+        """The static tile rule an auto marker resolves with."""
+        from .winograd import default_tile, eligible_tiles
+
+        tiles = eligible_tiles(
+            kernel=self.kernel,
+            stride=self.stride,
+            out_hw=out_hw,
+            c_in=self.c_in,
+            use_gather=self.use_gather,
+        )
+        return default_tile(out_hw=out_hw, c_in=self.c_in, tiles=tiles)
 
     def _wino_tile(self, out_hw) -> int:
         """Resolve the effective tile for one geometry (and persist it).
@@ -770,31 +805,28 @@ class ConvOp(_InferenceOp):
         ``wino_m > 0`` is a concrete compile-time choice (the winograd
         pass with known shapes, or the tuner); ``wino_m == -1`` marks a
         statically-eligible conv whose output size was unknown at
-        compile time — the static tile rule resolves it here from the
+        compile time — :meth:`_tile_rule` resolves it here from the
         first execution plan and the result sticks, so describe() and
         serving meta report the tile that actually runs.
         """
-        m = self.wino_m
-        if m < 0:
-            from .winograd import default_tile, eligible_tiles
-
-            tiles = eligible_tiles(
-                kernel=self.kernel,
-                stride=self.stride,
-                out_hw=out_hw,
-                c_in=self.c_in,
-                use_gather=self.use_gather,
-            )
-            m = default_tile(out_hw=out_hw, c_in=self.c_in, tiles=tiles)
-            self.wino_m = m
-        return m
+        if self.wino_m < 0:
+            self.wino_m = self._tile_rule(out_hw)
+        return self.wino_m
 
     def _bind_winograd(self, x, state):
-        """Bind the Winograd schedule for ``x``'s geometry.
+        """Bind the tile-major Winograd schedule for ``x``'s geometry.
 
-        The epilogue goes through the same hooks as the column GEMM.
-        Returns ``None`` when the auto tile rule resolves to "stay on
-        im2col" for this geometry.
+        Every tile's ``(m+2)^2 x C`` input block is contiguous (``D``),
+        so extraction is an in-order strided copy, the input transform
+        ``V = BT D`` and output transform ``Y = AT M`` are per-tile small
+        GEMMs, and the Winograd-domain GEMM ``M = V U`` reads each
+        frequency's rows as a strided view and writes ``M``
+        frequency-major, one contiguous block per frequency (the output
+        transform reads it back per tile). Tiles run in image bands
+        sized by the column GEMM's budget; two shared slabs hold
+        ``D`` then ``M``, and ``V`` then ``Y``. The epilogue goes through
+        the same hooks as the column GEMM. Returns ``None`` when the
+        tile rule resolves to "stay on im2col" for this geometry.
         """
         arena = state.arena
         plan = self._plan(x, state)
@@ -807,11 +839,10 @@ class ConvOp(_InferenceOp):
         c, c_out = self.c_in, self.c_out
         h, w = x.shape[1], x.shape[2]
         p = self.padding
-        param_dtype = self._param_dtype()
-        gemm_dtype = np.result_type(x.dtype, param_dtype)
-        _, bt, at = wino_transforms(m, gemm_dtype)
-        u = self._wino_operand(m, gemm_dtype)
-        bias = self.epilogue.bias.astype(param_dtype) if self.bias_rows else None
+        op = self._wino_operand(m, x.dtype)
+        u, spans, stage = op.u, op.spans, op.stage
+        bt = wino_transforms(m, u.dtype)[1]
+        direct = len(spans) == 1 and stage == u.dtype
         # Tile extraction needs m*t + 2 rows/cols; for even outputs this
         # is exactly the conv's own padded extent, so the halo-fused
         # ``:pad`` buffer doubles as the tile source. Odd outputs read
@@ -826,37 +857,83 @@ class ConvOp(_InferenceOp):
         tiles = np.lib.stride_tricks.as_strided(
             pad, (n, th, tw, span, span, c), (sn, m * sh, m * sw, sh, sw, sc)
         )
-        tile_src = tiles.transpose(3, 4, 0, 1, 2, 5)
-        pcount = n * th * tw
-        d = arena.scratch("wd", (f, pcount, c), gemm_dtype)
-        d6 = d.reshape(span, span, n, th, tw, c)
-        v = arena.scratch("wv", (f, pcount, c), gemm_dtype)
-        mmat = arena.scratch("wm", (f, pcount, c_out), gemm_dtype)
-        ybuf = arena.scratch("wy", (m * m, pcount * c_out), gemm_dtype)
-        dest = self._dest(arena, (n, oh, ow, c_out), gemm_dtype)
-        if m * th == oh and m * tw == ow:
-            out_full = out = self._acc(arena, (n, oh, ow, c_out), gemm_dtype)
-        else:
-            out_full = arena.scratch("wout", (n, m * th, m * tw, c_out), gemm_dtype)
-            out = out_full[:, :oh, :ow, :]
-        out6 = out_full.reshape(n, th, m, tw, m, c_out)
-        y_src = ybuf.reshape(m, m, n, th, tw, c_out).transpose(2, 3, 0, 4, 1, 5)
-        d2 = d.reshape(f, pcount * c)
-        v2 = v.reshape(f, pcount * c)
-        m2 = mmat.reshape(f, pcount * c_out)
-        epilogue = self._epilogue
+        # Per-tile bytes of the two slabs: D then M, V then Y.
+        gsize, ssize = u.dtype.itemsize, stage.itemsize
+        first = f * max(c * gsize, c_out * ssize)
+        second = max(f * c * gsize, m * m * c_out * ssize)
+        bands = self._image_bands(n, th * tw * (first + second))
+        pmax = max(i1 - i0 for i0, i1 in bands) * th * tw
+        slab_a = arena.scratch("cols", (pmax * first,), np.uint8)
+        slab_b = arena.scratch("wv", (pmax * second,), np.uint8)
+        partial = None
+        if not direct:
+            partial = arena.scratch("partial", (pmax, c_out), u.dtype)
+        shape = (n, oh, ow, c_out)
+        dest = self._dest(arena, shape, op.acc)
+        ragged = m * th != oh or m * tw != ow
+        acc = self._acc(arena, shape, op.acc)
+        wout = None
+        if ragged:
+            wout = arena.scratch("wout", (pmax // (th * tw), m * th, m * tw, c_out), stage)
+
+        def view(slab, count, dtype, *dims):
+            nbytes = count * int(np.prod(dims)) * np.dtype(dtype).itemsize
+            return slab[:nbytes].view(dtype).reshape(count, *dims)
+
+        bound = []
+        for i0, i1 in bands:
+            b = i1 - i0
+            pc = b * th * tw
+            d = view(slab_a, pc, u.dtype, f, c)
+            mm = view(slab_a, f, stage, pc, c_out)
+            v = view(slab_b, pc, u.dtype, f, c)
+            y = view(slab_b, pc, stage, m * m, c_out)
+            out_band = wout[:b] if ragged else acc[i0:i1]
+            bound.append(
+                (
+                    tiles[i0:i1],
+                    d.reshape(b, th, tw, span, span, c),
+                    d,
+                    v,
+                    v.transpose(1, 0, 2),
+                    mm.transpose(1, 0, 2),
+                    mm,
+                    y,
+                    out_band.reshape(b, th, m, tw, m, c_out),
+                    y.reshape(b, th, tw, m, m, c_out).transpose(0, 1, 3, 2, 4, 5),
+                    wout[:b, :oh, :ow] if ragged else None,
+                    acc[i0:i1],
+                    acc[i0:i1] if dest is acc else dest[i0:i1],
+                    None if partial is None else partial[:pc],
+                )
+            )
+        at, bias, epilogue = op.at, op.bias, self._epilogue
 
         def thunk(x_in):
             if x_in.base is not pad:
                 interior[...] = x_in
-            d6[...] = tile_src
-            np.matmul(bt, d2, out=v2)
-            np.matmul(v, u, out=mmat)
-            np.matmul(at, m2, out=ybuf)
-            out6[...] = y_src
-            if bias is not None:
-                np.add(out, bias, out=out)
-            epilogue(out, dest)
+            for src, d6, d, v, v_f, m_t, m_f, y, out6, y6, crop, acc_b, dest_b, part in bound:
+                d6[...] = src
+                np.matmul(bt, d, out=v)
+                if direct:
+                    np.matmul(v_f, u, out=m_f)
+                else:
+                    # Span partials are exact in the GEMM dtype; the
+                    # stage accumulates them (the int8 certificate).
+                    for j in range(f):
+                        for i, (c0, c1) in enumerate(spans):
+                            np.matmul(v_f[j, :, c0:c1], u[j, c0:c1], out=part)
+                            if i == 0:
+                                m_f[j][...] = part
+                            else:
+                                m_f[j] += part
+                np.matmul(at, m_t, out=y)
+                out6[...] = y6
+                if crop is not None:
+                    acc_b[...] = crop
+                if bias is not None:
+                    np.add(acc_b, bias, out=acc_b)
+                epilogue(acc_b, dest_b)
             return dest
 
         return thunk
@@ -1434,8 +1511,10 @@ class CompiledModel:
 
         One row per conv-like op: the lowering tag, op class, the
         chosen schedule kind (``winograd4``/``winograd2``/``im2col``/
-        ``gather``/``slab``) and, for quantized convs,
-        which int8 GEMM kernel serves the layer.
+        ``gather``/``slab``) and, for quantized convs, which int8 GEMM
+        kernel serves the layer plus :meth:`QuantConvOp.schedule_detail`
+        (an int8 Winograd layer's spans and staging dtype, or why an
+        integer-kernel layer stays on im2col).
         """
         rows = []
         for op in self.iter_ops():
@@ -1446,6 +1525,7 @@ class CompiledModel:
             int8_kernel = getattr(op, "int8_kernel", None)
             if int8_kernel is not None:
                 row["int8_kernel"] = int8_kernel
+                row.update(op.schedule_detail())
             rows.append(row)
         return rows
 

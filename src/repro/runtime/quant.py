@@ -56,8 +56,11 @@ from .compile import (
     _ExecState,
     _InferenceOp,
     _nhwc_rows,
+    _WinoOperand,
 )
 from .plan import PlanCache
+from .winograd import transforms as wino_transforms
+from .winograd import weight_transform as wino_weight_transform
 
 __all__ = [
     "QuantizationConfig",
@@ -250,6 +253,40 @@ def int8_gemm_int32(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
 #: so every block-partial is an exactly-represented float32 integer.
 INT8_BLOCK_K = 1024
 
+#: float32's exact-integer range: every integer of magnitude <= 2^24 - 1
+#: is represented exactly, so sums bounded by it never round.
+_EXACT = float(2**24 - 1)
+
+
+def _exact_spans(mag: np.ndarray, scale: float, head: float) -> List[Tuple[int, int]]:
+    """Split the rows of a ``(K, M)`` magnitude matrix into spans whose
+    column sums, times ``scale`` plus ``head``, stay within
+    :data:`_EXACT` (each span as long as that bound allows; a single row
+    always forms a span)."""
+    k = mag.shape[0]
+    if k == 0 or scale * float(mag.sum(axis=0, dtype=np.float64).max()) + head <= _EXACT:
+        return [(0, k)] if k else []
+    # cum[i] = column sums of the first i rows, exact in float64 for
+    # any realisable K (integer magnitudes, sums far below 2^53). Row
+    # by row: numpy's cumsum along axis 0 walks columns, ~10x slower.
+    cum = np.zeros((k + 1, mag.shape[1]), dtype=np.float64)
+    for i in range(k):
+        np.add(cum[i], mag[i], out=cum[i + 1])
+    spans: List[Tuple[int, int]] = []
+    start = 0
+    while start < k:
+        lo, hi, best = start + 1, k, start + 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if scale * float((cum[mid] - cum[start]).max()) + head <= _EXACT:
+                best, lo = mid, mid + 1
+            else:
+                hi = mid - 1
+        spans.append((start, best))
+        start = best
+    return spans
+
+
 #: Column-buffer size above which the compiled int8 path switches from
 #: one monolithic im2col + GEMM to image bands, fusing the requantize
 #: epilogue into each band while its accumulator slice is cache-warm.
@@ -408,11 +445,14 @@ class QuantConvOp(ConvOp):
     ``out_scale=None`` it dequantizes to float (region exit). With
     ``int8_kernel="blocked"`` the GEMM operand (:meth:`_gemm_blocks`)
     becomes the exact span-blocked integer operand, and ``weight_t``
-    stays ``None``: the span blocks are the only float copy of the codes.
+    stays ``None``: the span blocks are the only float copy of the codes
+    — or, for a conv the int8 tile rule puts on the exact Winograd
+    F(2x2,3x3) schedule, the integer operand ``U'``
+    (:meth:`_wino_operand`), which replaces them.
 
     The int8 artifact (``codes_int8``, per-filter ``w_scale``, and for
     SPM layers only the non-zero sequence codes) is what the op *owns*;
-    the span blocks are derived working state, rebuilt from it.
+    the span blocks or ``U'`` are derived working state, rebuilt from it.
     """
 
     w_scale: Optional[np.ndarray] = None  # (1, C_out) float
@@ -427,6 +467,9 @@ class QuantConvOp(ConvOp):
     _w_blocks: Optional[List[np.ndarray]] = field(default=None, repr=False)
     _w_spans: Optional[List[Tuple[int, int]]] = field(default=None, repr=False)
     _bias_folded: Optional[bool] = field(default=None, repr=False)
+    _wino_spans: Optional[Tuple[Tuple[int, int], ...]] = field(default=None, repr=False)
+    _wino_stage: Optional[np.dtype] = field(default=None, repr=False)
+    wino_note: str = ""  # why the int8 tile rule kept this conv on im2col
 
     #: Columns above this size run in image bands, so each band's
     #: requantize epilogue runs while its accumulator slice is cache-warm.
@@ -453,7 +496,7 @@ class QuantConvOp(ConvOp):
         return total
 
     def derived_nbytes(self) -> int:
-        total = _arr_nbytes(self._mult_cache, self._grouped_t)
+        total = _arr_nbytes(self._mult_cache, self._grouped_t, self._wino_u)
         if self._w_blocks is not None:
             total += sum(blk.nbytes for blk in self._w_blocks)
         if self.encoded is not None:
@@ -462,14 +505,18 @@ class QuantConvOp(ConvOp):
 
     def release_derived(self) -> int:
         """Drop only the rebuildable state (multiplier cache, the blocked
-        kernel's span operands, the grouped gather operand and the
-        encoded layer's memoized matrices); the int8 artifact stays —
-        see :meth:`param_nbytes`."""
+        kernel's span operands or Winograd operand ``U'`` with their
+        certificates, the grouped gather operand and the encoded layer's
+        memoized matrices); the int8 artifact stays — see
+        :meth:`param_nbytes`."""
         freed = self.derived_nbytes()
         self._mult_cache = None
         self._w_blocks = None
         self._w_spans = None
         self._bias_folded = None
+        self._wino_u = None
+        self._wino_spans = None
+        self._wino_stage = None
         self._grouped_t = None
         if self.encoded is not None:
             self.encoded.invalidate_caches()
@@ -517,25 +564,28 @@ class QuantConvOp(ConvOp):
     def _gemm_blocks(self):
         """Span-blocked int8 operand for the ``"blocked"`` kernel.
 
-        Sizes the K spans by the *value-aware* exactness certificate:
-        activations are clipped to ``[-qmax, qmax]``, so every partial
-        sum inside a span is bounded by ``qmax * max_j sum_i |w_ij|``
-        over the span's actual weight codes — the span may grow until
-        that bound (plus the folded bias code, which joins the same
-        accumulation) reaches float32's exact-integer range. In practice
-        this collapses most layers to a single span, which accumulates
-        in float32 with no staging at all; the worst-case
-        ``INT8_BLOCK_K`` bound is only the certificate's floor. The
-        integer bias codes fold into the last span's operand as an extra
-        row against the column buffer's ones column, so bias costs no
-        separate pass over the accumulator.
+        Sizes the K spans by the *value-aware* exactness certificate
+        (:meth:`_column_certificate`) and builds one float32 block per
+        span. The integer bias codes fold into the last span's operand
+        as an extra row against the column buffer's ones column, so bias
+        costs no separate pass over the accumulator.
         """
         if not self.int8_kernel:
             return super()._gemm_blocks()
         if self._w_blocks is None:
             with _derive_lock:
                 if self._w_blocks is None:
-                    self._build_int8_blocks()
+                    w = self._code_rows()
+                    spans, folding = self._column_certificate(w)
+                    blocks = []
+                    for i, (k0, k1) in enumerate(spans):
+                        blk = np.ascontiguousarray(w[k0:k1], dtype=np.float32)
+                        if folding and i == len(spans) - 1:
+                            blk = np.ascontiguousarray(
+                                np.vstack([blk, self.bias_q.astype(np.float32)])
+                            )
+                        blocks.append(blk)
+                    self._w_blocks = blocks  # last: the unlocked path keys on it
         return self._w_spans, self._w_blocks, int(self._bias_folded)
 
     def _code_rows(self) -> np.ndarray:
@@ -545,46 +595,102 @@ class QuantConvOp(ConvOp):
             return self.codes_int8.T
         return np.rint(self._weight_rows()).astype(np.int8)
 
-    def _build_int8_blocks(self) -> None:
-        w = self._code_rows()
-        k = w.shape[0]
-        limit = float(2**24 - 1)
-        qmax = float(self.qmax)
-        head = 0.0
-        folding = self.bias_q is not None
-        if folding:
-            head = float(np.max(np.abs(self.bias_q)))
-            if qmax * 127.0 + head > limit:  # bias codes too large to
-                folding = False  # join the exact accumulation
-                head = 0.0
-        # cum[i] = per-channel L1 of the first i weight rows.
-        cum = np.zeros((k + 1, w.shape[1]), dtype=np.int64)
-        np.cumsum(np.abs(w), axis=0, dtype=np.int64, out=cum[1:])
-        spans: List[Tuple[int, int]] = []
-        start = 0
-        while start < k:
-            lo, hi, best = start + 1, k, start + 1
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                bound = qmax * float((cum[mid] - cum[start]).max()) + head
-                if bound <= limit:
-                    best, lo = mid, mid + 1
-                else:
-                    hi = mid - 1
-            spans.append((start, best))
-            start = best
-        blocks = []
-        for i, (k0, k1) in enumerate(spans):
-            blk = np.ascontiguousarray(w[k0:k1], dtype=np.float32)
-            if folding and i == len(spans) - 1:
-                blk = np.ascontiguousarray(
-                    np.vstack([blk, self.bias_q.astype(np.float32)])
-                )
-            blocks.append(blk)
-        # Blocks last: the unlocked fast path keys on them.
-        self._w_spans = spans
-        self._bias_folded = folding
-        self._w_blocks = blocks
+    def _column_certificate(self, w: Optional[np.ndarray] = None):
+        """The column GEMM's K spans and whether the bias codes fold in.
+
+        Activations are clipped to ``[-qmax, qmax]``, so every partial
+        sum inside a span is bounded by ``qmax * max_j sum_i |w_ij|``
+        over the span's actual weight codes — the span may grow until
+        that bound (plus the folded bias code, which joins the same
+        accumulation) reaches float32's exact-integer range. In practice
+        this collapses most layers to a single span, which accumulates
+        in float32 with no staging at all. Memoized; the Winograd
+        schedule reads it too, to hand the epilogue the accumulator
+        dtype (float32 for one span, float64 staging otherwise) and bias
+        the column GEMM would have.
+        """
+        if self._w_spans is None:
+            if w is None:
+                w = self._code_rows()
+            qmax = float(self.qmax)
+            head = 0.0
+            folding = self.bias_q is not None
+            if folding:
+                head = float(np.max(np.abs(self.bias_q)))
+                if qmax * 127.0 + head > _EXACT:  # bias codes too large to
+                    folding = False  # join the exact accumulation
+                    head = 0.0
+            self._bias_folded = folding
+            self._w_spans = _exact_spans(np.abs(w), qmax, head)
+        return self._w_spans, self._bias_folded
+
+    # -- exact integer Winograd F(2x2, 3x3) ----------------------------
+    def _tile_rule(self, out_hw) -> int:
+        """The int8 tile rule (:func:`repro.runtime.winograd.int8_tile`);
+        a layer it keeps on im2col records why in ``wino_note``."""
+        from .winograd import int8_tile
+
+        m, why = int8_tile(
+            kernel=self.kernel, stride=self.stride, out_hw=out_hw,
+            c_in=self.c_in, use_gather=self.use_gather,
+        )
+        self.wino_note = why
+        return m
+
+    def _wino_operand(self, m: int, x_dtype):
+        """The integer F(2x2,3x3) operand and its exactness certificate.
+
+        ``U' = (2G (x) 2G) w = 4U`` is built from the weight codes
+        exactly (``U`` runs in float64 and its quarter-integer entries,
+        ``|U| <= 2.25 * 127``, survive the float32 cast; scaling by 4 is
+        exact; ``|U'| <= 9 * 127``), and replaces the span blocks. The
+        input transform of clipped codes is bounded by
+        ``4 * qmax`` (508 for int8), so ``C_in`` splits into spans
+        with ``4 * qmax * max_(f, o) sum_c |U'|`` within float32's exact
+        range: each span's partial of ``M = V U'`` is an exact float32
+        integer. One span with its output transform ``AT M`` (entries
+        0/+-1, summing at most nine frequencies) also in range stages in
+        float32; otherwise ``M`` and the output transform run in float64.
+        ``AT / 4`` divides by four exactly, so ``Y`` is the integer
+        accumulator of the column GEMM, handed over in the dtype and with
+        the bias that GEMM would have produced.
+        """
+        if not self.int8_kernel:
+            return super()._wino_operand(m, x_dtype)
+        if m != 2:
+            raise ValueError(f"int8 Winograd runs F(2x2,3x3) only, not F({m}x{m})")
+        if self._wino_u is None:
+            with _derive_lock:
+                if self._wino_u is None:
+                    w = self._code_rows()
+                    self._column_certificate(w)
+                    # U has quarter-integer entries (|U| <= 2.25 * 127),
+                    # exact in float32, so 4U is exact too.
+                    u = 4.0 * wino_weight_transform(
+                        w.reshape(9, self.c_in, self.c_out), 2, np.float32
+                    )
+                    mag = np.abs(u).transpose(1, 0, 2).reshape(self.c_in, -1)
+                    bound = 4.0 * float(self.qmax)
+                    spans = _exact_spans(mag, bound, 0.0)
+                    totals = bound * mag.sum(axis=0, dtype=np.float64)
+                    totals = totals.reshape(u.shape[0], self.c_out)
+                    at = wino_transforms(2, np.float64)[2]
+                    out_bound = float((np.abs(at) @ totals).max()) if totals.size else 0.0
+                    single = len(spans) == 1 and out_bound <= _EXACT
+                    self._wino_spans = tuple(spans)
+                    self._wino_stage = np.dtype(np.float32 if single else np.float64)
+                    self._wino_u = u
+        col_spans, folding = self._column_certificate()
+        acc = np.dtype(np.float32 if len(col_spans) == 1 else np.float64)
+        stage = self._wino_stage
+        return _WinoOperand(
+            u=self._wino_u,
+            spans=self._wino_spans,
+            stage=stage,
+            at=np.ascontiguousarray(wino_transforms(2, stage)[2] * 0.25),
+            acc=acc,
+            bias=self.bias_q.astype(acc) if folding else None,
+        )
 
     def describe(self) -> str:
         """Human-readable op label, e.g. ``qconv[blocked]+bias+relu->int8``."""
@@ -597,7 +703,13 @@ class QuantConvOp(ConvOp):
             fused.append("bias")
         if self.relu:
             fused.append("relu")
-        return f"{kind}" + (f"+{'+'.join(fused)}" if fused else "") + f"->{dest}"
+        label = f"{kind}" + (f"+{'+'.join(fused)}" if fused else "") + f"->{dest}"
+        detail = self.schedule_detail()
+        if "spans" in detail:
+            label += f" [winograd2: {detail['spans']} span(s), {detail['staging']} staging]"
+        elif "im2col_reason" in detail:
+            label += f" [im2col: {detail['im2col_reason']}]"
+        return label
 
     def schedule_kind(self) -> str:
         """Per-layer schedule annotation, suffixed with the GEMM datapath:
@@ -605,6 +717,16 @@ class QuantConvOp(ConvOp):
         float-carried codes."""
         base = super().schedule_kind()
         return f"{base}+int8:{self.int8_kernel or 'float'}"
+
+    def schedule_detail(self) -> dict:
+        """Why the schedule is what it is: an int8 Winograd layer's
+        C_in span count and staging dtype (once its operand exists), or
+        the reason an integer-kernel layer stays on im2col."""
+        if self.wino_m > 0 and self._wino_spans is not None:
+            return {"spans": len(self._wino_spans), "staging": self._wino_stage.name}
+        if self.wino_m == 0 and self.int8_kernel and self.wino_note:
+            return {"im2col_reason": self.wino_note}
+        return {}
 
 
 def _carry_dtype(dtype) -> np.dtype:
@@ -732,10 +854,14 @@ def _quantize_conv(
     ``kernel`` is the resolved int8 GEMM kernel name (None for the
     float-carried datapath); with a true-integer kernel the bias never
     rides the GEMM operand (it is not an int8 code) — it is applied in
-    code space after the integer accumulation instead. The winograd
-    marker is deliberately *not* carried over from the float conv: the
-    F(m,3) transforms produce non-integer intermediates, which would
-    void the int8 path's exact-integer-accumulation contract.
+    code space after the integer accumulation instead. The float conv's
+    winograd mark becomes an int8 auto marker, resolved by the int8
+    tile rule (:func:`repro.runtime.winograd.int8_tile`): only
+    F(2x2,3x3) keeps integer intermediates, and its exactness
+    certificate (:meth:`QuantConvOp._wino_operand`) makes the result
+    the column GEMM's integer accumulator. F(4x4)'s fractional
+    transforms never run on codes, and a conv the rule keeps on the
+    column GEMM records why in ``wino_note``.
     """
     carry = _carry_dtype(dtype)
     int8_dense = kernel is not None and not op.use_gather
@@ -784,7 +910,23 @@ def _quantize_conv(
             rows = np.vstack([rows, row])
             bias_rows = 1
         weight_t = np.ascontiguousarray(rows, dtype=carry)
+    # The winograd pass's mark becomes an int8 auto marker: the int8
+    # tile rule resolves it from the first execution plan.
+    wino_m, note = 0, ""
+    if int8_dense:
+        from .winograd import int8_tile
+
+        m, note = int8_tile(
+            kernel=op.kernel, stride=op.stride, out_hw=None,
+            c_in=op.c_in, use_gather=op.use_gather,
+        )
+        if m and op.wino_m:
+            wino_m = -1
+        elif m:
+            note = "float schedule is the column GEMM (winograd=False or tuned)"
     return QuantConvOp(
+        wino_m=wino_m,
+        wino_note=note,
         weight_t=weight_t,
         bias_rows=bias_rows,
         encoded=encoded,

@@ -10,17 +10,25 @@ stack of dense GEMMs with ``(m+2)^2 / (9 m^2)`` of the direct MACs:
 
 This module owns the 1-D transform matrices, their Kronecker-squared 2-D
 forms, and the eligibility/selection rules shared by the ``winograd``
-compiler pass, the tune pass, and the cost model.  The execution loop
-itself is bound by :meth:`repro.runtime.compile.ConvOp._bind_winograd`,
-the only Winograd executor; its tests check it against the eager
-im2col conv (:func:`repro.runtime.dispatch`).
+compiler pass, the tune pass, the cost model and the int8 tile rule
+(:func:`int8_tile`).  The execution loop itself is bound by
+:meth:`repro.runtime.compile.ConvOp._bind_winograd`, the only Winograd
+executor, for float and int8 convs alike; its tests check it against
+the eager im2col conv (:func:`repro.runtime.dispatch`) and, on int8
+codes, against the int32 reference GEMM.
 
 Numerics
 --------
 F(2x2,3x3) transforms only add/subtract (``B``/``A`` entries in
-{0, +-1}) and halve (``G`` entries in {0, 1/2, 1}); on integer-valued
-inputs (int8 activation codes) the forward transforms are *exact* in
-float32.  F(4x4,3x3) uses the Cook-Toom points {0, +-1, 2, -1/2}, whose
+{0, +-1}) and halve (``G`` entries in {0, 1/2, 1}), so int8 convs run
+it exactly: with ``G`` scaled by 2, the operand ``U' = 4U`` and the
+input transform of int8 codes (bounded by ``4 * 127 = 508``) are
+integers, each C_in span of the Winograd-domain GEMM stays inside
+float32's exact range (2^24) by a certificate on the layer's own
+codes, and the output transform divides by 4 exactly (see
+:meth:`repro.runtime.quant.QuantConvOp._wino_operand`).
+
+F(4x4,3x3) uses the Cook-Toom points {0, +-1, 2, -1/2}, whose
 transform entries reach 8 and 16/15; it still amplifies float32
 rounding several-fold over im2col (the Winograd-domain GEMM dominates),
 so its max-abs error vs im2col stays ~1e-5 on unit-scale activations,
@@ -30,7 +38,7 @@ the output needs.
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +49,9 @@ __all__ = [
     "eligible_tiles",
     "default_tile",
     "wino_geometry",
+    "int8_tile",
+    "INT8_MIN_C_IN",
+    "INT8_MIN_TILES",
 ]
 
 # 1-D transform matrices, exact in binary floating point where possible.
@@ -191,3 +202,42 @@ def wino_geometry(
     th = -(-oh // m)
     tw = -(-ow // m)
     return th, tw, (m + 2) ** 2, m + 2
+
+
+#: The int8 tile rule's thresholds. Measured per layer on the int8
+#: VGG-16/CIFAR flagship (16-image lanes, one BLAS thread each, one lane
+#: alone or two concurrently, int8 F(2x2) vs the int8 column GEMM):
+#: 128- to 512-channel layers on 16x16 to 4x4 maps ran in 0.64-0.89x
+#: the time; 64-channel layers (K = 64 per frequency is too narrow a
+#: GEMM to amortise the transforms) in 0.99-1.06x, and 2x2 maps (one
+#: tile per image: few GEMM rows per byte of ``U'``, which is 16/9 the
+#: column operand) in 1.05-1.25x.
+INT8_MIN_C_IN = 128
+INT8_MIN_TILES = 4
+
+
+def int8_tile(
+    *,
+    kernel: Tuple[int, int],
+    stride: int,
+    out_hw: Optional[Tuple[int, int]],
+    c_in: int,
+    use_gather: bool = False,
+) -> Tuple[int, str]:
+    """Static tile rule of an int8 conv: ``(2, "")`` for the exact
+    F(2x2,3x3) schedule, or ``(0, reason)`` when the layer stays on the
+    column GEMM. With ``out_hw=None`` only the geometry-free conditions
+    (kernel, stride, schedule, ``c_in``) are checked.
+    """
+    if tuple(kernel) != (3, 3) or stride != 1:
+        return 0, "not a 3x3/stride-1 conv"
+    if use_gather:
+        return 0, "gather schedule"
+    if c_in < INT8_MIN_C_IN:
+        return 0, f"c_in {c_in} < {INT8_MIN_C_IN}"
+    if out_hw is None:
+        return 2, ""
+    th, tw, _, _ = wino_geometry(out_hw=out_hw, m=2)
+    if th * tw < INT8_MIN_TILES:
+        return 0, f"{th * tw} tile(s)/image < {INT8_MIN_TILES}"
+    return 2, ""

@@ -10,6 +10,7 @@ import pytest
 from repro import nn, runtime
 from repro.core import PCNNConfig, PCNNPruner
 from repro.models import patternnet, resnet18_cifar, vgg16_cifar
+from repro.runtime.compile import ConvOp
 
 
 def _pruned(model, layers):
@@ -189,18 +190,25 @@ class TestBatchNormFolding:
 
 
 class TestEpilogue:
+    @staticmethod
+    def _conv(bias, relu=False):
+        """A compiled conv whose epilogue adds ``bias`` (no bias GEMM row)."""
+        op = ConvOp(stride=1, padding=0, kernel=(1, 1), c_in=1, c_out=len(bias), tag="c", relu=relu)
+        op.epilogue = runtime.Epilogue(bias=bias, relu=relu)
+        return op
+
     def test_bias_add_in_place_and_dtype_stable(self):
         mat = np.random.default_rng(14).normal(size=(6, 3)).astype(np.float32)
         before = mat.copy()
-        epi = runtime.Epilogue(bias=np.array([1.0, -2.0, 0.5]))  # float64 bias
-        out = epi.apply(mat)
-        assert out is mat  # in place, no allocation
+        # float64 bias; acc and dest are the same buffer, so the result
+        # must land in ``mat`` itself (in place, no allocation).
+        self._conv(np.array([1.0, -2.0, 0.5]))._epilogue(mat, mat)
         assert mat.dtype == np.float32
         np.testing.assert_allclose(mat, before + np.array([1.0, -2.0, 0.5], np.float32))
 
     def test_relu_applied_after_bias(self):
         mat = np.array([[-1.0, 1.0]])
-        runtime.Epilogue(bias=np.array([0.5, -3.0]), relu=True).apply(mat)
+        self._conv(np.array([0.5, -3.0]), relu=True)._epilogue(mat, mat)
         np.testing.assert_array_equal(mat, [[0.0, 0.0]])
 
 

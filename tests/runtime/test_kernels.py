@@ -1,6 +1,6 @@
 """Property tests for the kernel-level fast paths.
 
-Three claims, each checked over randomly drawn geometries rather than a
+The claims, each checked over randomly drawn geometries rather than a
 handful of fixtures:
 
 - the compiled Winograd F(m,3) schedules (m = 2, 4) agree with the eager
@@ -11,6 +11,9 @@ handful of fixtures:
   integer GEMM — including ragged K tails around ``INT8_BLOCK_K``,
   ``k == 0`` and empty batches — which is the exactness certificate the
   int8 serving path rests on;
+- the exact int8 F(2x2,3x3) schedule is bit-identical to the same
+  reference on integer codes (multi-span and float64-staged included),
+  and int8 logits do not depend on which int8 convs run it;
 - a compiled forward's first call (bind) and its replays are
   bit-identical and match eager within the per-domain tolerance, for
   every op and schedule;
@@ -20,7 +23,7 @@ handful of fixtures:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import nn, runtime
@@ -37,6 +40,7 @@ from repro.runtime import winograd
 from repro.runtime.compile import ConvOp, _ExecState
 from repro.runtime.quant import (
     INT8_BLOCK_K,
+    QuantConvOp,
     int8_gemm_int32,
     int8_gemm_int32_blocked,
 )
@@ -194,6 +198,115 @@ class TestInt8KernelExactness:
         out = np.empty((13, 7), dtype=np.float32)
         int8_gemm_int32_blocked(a, b, out=out)
         assert np.array_equal(out.astype(np.int64), int8_gemm_int32(a, b))
+
+
+def _int8_winograd_conv(codes, c_in, c_out, bias, spm):
+    """A compiled int8 ``QuantConvOp`` forced onto F(2x2,3x3): unit
+    scales and a float64 carry, so its output is the raw integer
+    accumulator. ``codes`` is ``(C_out, C_in, 3, 3)`` int8."""
+    encoded = codes_int8 = None
+    if spm:
+        encoded = encode_layer(codes.astype(np.float64), SPMCodebook(enumerate_patterns(2)))
+    else:
+        codes_int8 = codes.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    return QuantConvOp(
+        stride=1, padding=1, kernel=(3, 3), c_in=c_in, c_out=c_out, tag="q",
+        encoded=encoded, codes_int8=codes_int8, bias_q=bias, wino_m=2,
+        epilogue=runtime.Epilogue(), _prepared=True, w_scale=np.ones((1, c_out)),
+        int8_kernel="blocked", emit_int8=True,
+    )
+
+
+def _int8_conv_reference(x, codes, bias):
+    """``int8_gemm_int32`` over the padded input's 3x3 windows (NHWC)."""
+    n, h, w, c = x.shape
+    pad = np.zeros((n, h + 2, w + 2, c), dtype=np.int8)
+    pad[:, 1:-1, 1:-1] = x
+    cols = np.concatenate(
+        [pad[:, i : i + h, j : j + w] for i in range(3) for j in range(3)], axis=-1
+    )
+    rows = codes.transpose(2, 3, 1, 0).reshape(9 * c, -1)
+    out = int8_gemm_int32(cols.reshape(n * h * w, 9 * c), rows)
+    if bias is not None:
+        out = out + bias.astype(np.int32)
+    return out.reshape(n, h, w, codes.shape[0])
+
+
+class TestInt8Winograd:
+    """The exact integer F(2x2,3x3) schedule equals the int32 reference GEMM."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        h=st.integers(min_value=1, max_value=9),
+        w=st.integers(min_value=1, max_value=9),
+        batch=st.sampled_from([0, 1, 7]),
+        c_in=st.sampled_from([16, 17, 64, 256]),
+        c_out=st.sampled_from([1, 5, 16]),
+        spm=st.booleans(),
+        saturated=st.booleans(),
+        bias=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(h=5, w=7, batch=7, c_in=256, c_out=5, spm=False, saturated=True, bias=True, seed=1)
+    @example(h=9, w=4, batch=1, c_in=256, c_out=16, spm=True, saturated=True, bias=False, seed=2)
+    def test_bit_identical_to_int32_reference(
+        self, h, w, batch, c_in, c_out, spm, saturated, bias, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if saturated:  # all +-127: several spans and float64 staging
+            x = rng.choice([-127, 127], size=(batch, h, w, c_in)).astype(np.int8)
+            codes = rng.choice([-127, 127], size=(c_out, c_in, 3, 3))
+        else:
+            x = rng.integers(-127, 128, size=(batch, h, w, c_in)).astype(np.int8)
+            codes = rng.integers(-127, 128, size=(c_out, c_in, 3, 3))
+        if spm:  # n = 2 non-zeros per kernel, on PCNN patterns
+            codes = project_to_patterns(codes.astype(np.float64), enumerate_patterns(2))
+        codes = codes.astype(np.int8)
+        bias_q = rng.integers(-1000, 1000, size=(1, c_out)).astype(np.float64) if bias else None
+        op = _int8_winograd_conv(codes, c_in, c_out, bias_q, spm)
+        state = _ExecState(arena=runtime.Arena(), plans=runtime.PlanCache())
+        out = op.run(x, state)
+        assert op.schedule_kind() == "winograd2+int8:blocked"
+        assert op._w_blocks is None  # U' is the only operand
+        reference = _int8_conv_reference(x, codes, bias_q)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, reference.astype(np.float64))
+        if saturated and c_in == 256:
+            assert len(op._wino_spans) > 1 and op._wino_stage == np.float64
+
+    @pytest.mark.parametrize("name", ["vgg16", "resnet18", "patternnet"])
+    def test_int8_logits_identical_with_and_without_winograd(self, name):
+        """int8 logits are byte-identical whichever schedule the int8
+        convs run: the tile rule's choice, every eligible int8 conv forced
+        onto F(2x2), or the column GEMM (``winograd=False``)."""
+        from repro.models import resnet18_cifar, vgg16_cifar
+
+        build = {"vgg16": vgg16_cifar, "resnet18": resnet18_cifar}.get(name)
+        if build is None:  # |P| = 8: decoded dense GEMMs, not gathers
+            model = _pruned_patternnet(patterns=8)
+        else:
+            model = build(rng=np.random.default_rng(5))
+        size = 16 if build is None else 32
+        x = np.random.default_rng(6).normal(size=(3, 3, size, size))
+
+        def compiled(winograd, force=None):
+            c = runtime.compile_model(model, quantize="int8", calibration=x, winograd=winograd)
+            for op in c.iter_ops():
+                if isinstance(op, QuantConvOp) and force is not None:
+                    op.wino_m = force if op.int8_kernel and tuple(op.kernel) == (3, 3) else 0
+            return c
+
+        ruled = compiled(True)
+        logits = ruled(x)
+        kinds = [op.schedule_kind() for op in ruled.iter_ops() if isinstance(op, QuantConvOp)]
+        if name == "vgg16":
+            assert sum(kind.startswith("winograd2") for kind in kinds) >= 5
+        forced = compiled(True, force=2)
+        assert np.array_equal(forced(x), logits)
+        assert any(op.wino_m == 2 for op in forced.iter_ops() if isinstance(op, QuantConvOp))
+        assert np.array_equal(compiled(True, force=0)(x), logits)
+        if name != "resnet18":  # its float residual convs run float Winograd
+            assert np.array_equal(compiled(False)(x), logits)
 
 
 class _Doubler(nn.Module):

@@ -51,11 +51,24 @@ def _int8_banded(model):
     return compiled
 
 
+def _int8_winograd(model):
+    """int8 PatternNet whose two wider convs run the exact F(2x2) schedule
+    (forced: the int8 tile rule wants more channels than PatternNet has),
+    the last one in bands of one image."""
+    compiled = _int8(model)
+    convs = [op for op in compiled.iter_ops() if isinstance(op, QuantConvOp)]
+    for op in convs[1:]:
+        op.wino_m = 2
+    convs[2].slab_bytes = 1  # one image per band
+    return compiled
+
+
 #: name -> () -> compiled pipeline
 PIPELINES = {
     "f32-winograd": lambda: runtime.compile_model(_pruned_patternnet()),
     "f32-gather": lambda: runtime.compile_model(_pruned_patternnet(1, 4)),
     "int8-bands": lambda: _int8_banded(_pruned_patternnet()),
+    "int8-winograd": lambda: _int8_winograd(_pruned_patternnet()),
     "resnet18": lambda: runtime.compile_model(resnet18_cifar(rng=np.random.default_rng(2))),
 }
 
@@ -110,6 +123,21 @@ class TestOneCopy:
             k = 9 * op.c_in + int(op._bias_folded)
             assert sum(block.size for block in op._w_blocks) == k * op.c_out
             assert all(block.dtype == np.float32 for block in op._w_blocks)
+
+    def test_int8_winograd_convs_hold_u_prime_and_no_span_blocks(self):
+        compiled = _int8_winograd(_pruned_patternnet())
+        _two_lane_forward(compiled)
+        convs = _convs(compiled)
+        assert [op.schedule_kind() for op in convs] == [
+            "im2col+int8:blocked", "winograd2+int8:blocked", "winograd2+int8:blocked",
+        ]
+        for op in convs[1:]:
+            assert op.weight_t is None and op._w_blocks is None
+            assert op.encoded.cached_nbytes == 0
+            assert op._wino_u.shape == (16, op.c_in, op.c_out)
+            assert op._wino_u.dtype == np.float32
+            assert op.derived_nbytes() == op._wino_u.nbytes + op._mult_cache.nbytes
+        assert convs[0]._wino_u is None and convs[0]._w_blocks is not None
 
     def test_lower_never_materialises_dense_weights_of_encoded_convs(self):
         model = _pruned_patternnet()
@@ -192,7 +220,7 @@ class TestScratchSlabs:
         arenas = [model.arena for model in models]
         roles = [set(arena.slab_sizes()) for arena in arenas]
         assert {"cols", "acc", "tile"} <= roles[0]
-        assert {"cols", "wd", "wv", "wm", "wy"} <= roles[1]
+        assert {"cols", "wv"} <= roles[1]  # Winograd: D then M, V then Y
         for arena in arenas:
             assert arena.growths > 0
             sizes = arena.slab_sizes()
@@ -201,7 +229,7 @@ class TestScratchSlabs:
         # No trace pins a replaced slab: only the arenas' own survive.
         assert sum(ref() is not None for ref in slabs) == sum(map(len, roles))
 
-    @pytest.mark.parametrize("name", ["f32-winograd", "int8-bands"])
+    @pytest.mark.parametrize("name", ["f32-winograd", "int8-bands", "int8-winograd"])
     def test_release_round_trip_is_bit_identical(self, name):
         compiled = PIPELINES[name]()
         x = _images(5, seed=3)
