@@ -9,11 +9,9 @@ assert the paper-shape claims (who wins, by roughly what factor).
 perf-critical paths (eager conv paths, plan cache, batched
 predict, compiled pipeline, analytic speedup) for CI, so a regression in
 the hot paths fails fast without the full benchmark suite. It also
-measures eager vs compiled vs schedule-tuned serving throughput on the
-VGG-16 CIFAR shape — including the n=2/|P|=4 config where the tuner
-overrides the static gather heuristic for a measured win — and writes
-the numbers to
-``BENCH_runtime.json`` (tracked from PR 2 on; tuned rows from PR 5,
+measures eager vs compiled serving throughput on the VGG-16 CIFAR shape
+and writes the numbers to
+``BENCH_runtime.json`` (tracked from PR 2 on,
 guarded against regression by ``scripts/bench_guard.py`` in CI),
 plus a dynamic-batching serving record — in-process Batcher under
 concurrent clients, dense + PCNN configs — to ``BENCH_serving.json``
@@ -136,8 +134,8 @@ def _interleaved_ips(fns: dict, batch: int, trials: int = 7) -> dict:
     return samples
 
 
-def _bench_one_config(model, x, batch: int, workers: int, tune=None) -> dict:
-    """Eager vs compiled (vs tuned) vs compiled+workers for one model."""
+def _bench_one_config(model, x, batch: int, workers: int) -> dict:
+    """Eager vs compiled vs compiled+workers for one model."""
     from repro import runtime
 
     compiled = runtime.compile_model(model)
@@ -152,9 +150,6 @@ def _bench_one_config(model, x, batch: int, workers: int, tune=None) -> dict:
         "compiled": lambda: runtime.predict(compiled, x),
         "workers": lambda: runtime.predict(compiled, x, workers=workers),
     }
-    if tune is not None:
-        tuned_model = runtime.compile_model(model, tune=tune, input_shape=x.shape[1:])
-        fns["tuned"] = lambda: runtime.predict(tuned_model, x)
     samples = _interleaved_ips(fns, batch)
     eager = np.array(samples["eager"])
     compiled_s = np.array(samples["compiled"])
@@ -168,46 +163,7 @@ def _bench_one_config(model, x, batch: int, workers: int, tune=None) -> dict:
         "max_abs_diff_compiled_vs_eager": max_abs_diff,
         "winograd_layers": winograd_layers,
     }
-    if tune is not None:
-        tuned_s = np.array(samples["tuned"])
-        row["tuned_images_per_sec"] = round(float(np.median(tuned_s)), 2)
-        row["speedup_tuned_vs_compiled"] = round(
-            float(np.median(tuned_s / compiled_s)), 3
-        )
-        row["tune_mode"] = tune
     return row
-
-
-def _bench_tuned_vs_static(model, x, batch: int, tune: str = "measure") -> dict:
-    """Static-heuristic compile vs tuned compile for one model.
-
-    The config where the two *disagree* (the static rule gathers, the
-    tuner measures dense-decode as faster — or vice versa) is the direct
-    evidence the cost-model/autotune pass earns its keep.
-    """
-    from repro import runtime
-
-    static = runtime.compile_model(model)
-    tuned = runtime.compile_model(model, tune=tune, input_shape=x.shape[1:])
-    max_abs_diff = float(np.abs(tuned(x) - static(x)).max())
-    samples = _interleaved_ips(
-        {
-            "static": lambda: runtime.predict(static, x),
-            "tuned": lambda: runtime.predict(tuned, x),
-        },
-        batch,
-    )
-    static_s = np.array(samples["static"])
-    tuned_s = np.array(samples["tuned"])
-    report = tuned.tuning
-    return {
-        "static_images_per_sec": round(float(np.median(static_s)), 2),
-        "tuned_images_per_sec": round(float(np.median(tuned_s)), 2),
-        "speedup_tuned_vs_static": round(float(np.median(tuned_s / static_s)), 3),
-        "schedules_changed_vs_heuristic": report.changed_layers,
-        "tune_mode": tune,
-        "max_abs_diff_tuned_vs_static": max_abs_diff,
-    }
 
 
 def _winograd_layer_count(compiled) -> int:
@@ -402,18 +358,7 @@ def bench_runtime(path: str = "BENCH_runtime.json", batch: int = 32) -> dict:
     pruner = PCNNPruner(pruned_model, PCNNConfig.uniform(2, 13))
     pruner.apply()
     pruner.attach_encodings()
-    pcnn = _bench_one_config(pruned_model, x, batch, workers, tune="measure")
-
-    # n=2/|P|=4 is where the static gather heuristic is wrong: |P|*n = 8
-    # <= k^2 = 9 says "gather natively", but the grouped contraction is
-    # barely narrower than the dense one while the numpy gather still
-    # pays full A-matrix materialisation — the tuner (cost model and
-    # measurement agree) decodes most layers to dense GEMMs instead.
-    n2p4_model = vgg16_cifar(rng=np.random.default_rng(SEED))
-    pruner = PCNNPruner(n2p4_model, PCNNConfig.uniform(2, 13, num_patterns=4))
-    pruner.apply()
-    pruner.attach_encodings()
-    n2p4 = _bench_tuned_vs_static(n2p4_model, x, batch)
+    pcnn = _bench_one_config(pruned_model, x, batch, workers)
 
     # Kernel-level rows: Winograd vs im2col on the flagship model and the
     # integer int8 GEMM vs the float-carried one — each isolating exactly
@@ -431,17 +376,14 @@ def bench_runtime(path: str = "BENCH_runtime.json", batch: int = 32) -> dict:
         "flagship_config": "pcnn_n2_p8",
         "eager_images_per_sec": pcnn["eager_images_per_sec"],
         "compiled_images_per_sec": pcnn["compiled_images_per_sec"],
-        "tuned_images_per_sec": pcnn["tuned_images_per_sec"],
         "compiled_workers": workers,
         "speedup_compiled_vs_eager": pcnn["speedup_compiled_vs_eager"],
         "speedup_workers_vs_eager": pcnn["speedup_workers_vs_eager"],
-        "speedup_tuned_vs_compiled": pcnn["speedup_tuned_vs_compiled"],
         "max_abs_diff_compiled_vs_eager": pcnn["max_abs_diff_compiled_vs_eager"],
         "winograd_layers": pcnn["winograd_layers"],
         "configs": {
             "pcnn_n2_p8": pcnn,
             "dense": dense,
-            "pcnn_n2_p4": n2p4,
             "winograd": winograd,
             "int8_int32": int8_int32,
             "batch1": batch1,
@@ -836,7 +778,7 @@ def smoke() -> int:
     record = bench_runtime()
     for name, row in record["configs"].items():
         if "eager_images_per_sec" not in row:
-            continue  # the tuned-vs-static config reports its own fields
+            continue  # kernel-level rows report their own fields
         print(
             f"smoke: BENCH_runtime.json [{name}] -> "
             f"eager {row['eager_images_per_sec']} ips, "
@@ -850,30 +792,6 @@ def smoke() -> int:
             f"compiled serving should be well ahead of eager predict; "
             f"got {row['speedup_compiled_vs_eager']}x on {name}"
         )
-    flagship = record["configs"]["pcnn_n2_p8"]
-    print(
-        f"smoke: BENCH_runtime.json [pcnn_n2_p8] tuned -> "
-        f"{flagship['tuned_images_per_sec']} ips "
-        f"({flagship['speedup_tuned_vs_compiled']}x vs untuned compiled)"
-    )
-    # Measured tuning picks the best of candidates that include the
-    # static default, so parity is the floor; the margin below only
-    # absorbs shared-runner noise.
-    assert flagship["speedup_tuned_vs_compiled"] >= 0.9, flagship
-    n2p4 = record["configs"]["pcnn_n2_p4"]
-    print(
-        f"smoke: BENCH_runtime.json [pcnn_n2_p4] static "
-        f"{n2p4['static_images_per_sec']} ips vs tuned "
-        f"{n2p4['tuned_images_per_sec']} ips "
-        f"({n2p4['speedup_tuned_vs_static']}x, "
-        f"{n2p4['schedules_changed_vs_heuristic']} schedules changed)"
-    )
-    assert n2p4["max_abs_diff_tuned_vs_static"] < 1e-4, n2p4
-    # The structural win: the tuner overrides the (wrong here) static
-    # gather rule on most layers. The measured margin on this config is
-    # ~1.7-1.9x on the 1-core container; the floor only absorbs noise.
-    assert n2p4["schedules_changed_vs_heuristic"] >= 1, n2p4
-    assert n2p4["speedup_tuned_vs_static"] >= 1.0, n2p4
     wino = record["configs"]["winograd"]
     print(
         f"smoke: BENCH_runtime.json [winograd] -> im2col "

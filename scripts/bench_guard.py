@@ -9,13 +9,13 @@ than the allowed fraction.
 Policy:
 
 - ``BENCH_runtime.json`` — **hard fail** when any config's compiled
-  (or tuned/static-compiled) images/sec drops > 25% below baseline.
+  images/sec drops > 25% below baseline.
   This is the repo's headline serving number; CI-runner noise is
   absorbed by the slack, a structural regression is not. Absolute
   images/sec only transfer between like machines, so when the records'
   ``cpu_count`` fields differ the absolute metrics downgrade to
-  warnings and the machine-invariant *ratio* metrics (compiled/eager,
-  tuned/static speedups — same-run, same-host by construction) carry
+  warnings and the machine-invariant *ratio* metrics (compiled/eager
+  and kernel speedups — same-run, same-host by construction) carry
   the hard-fail alone.
 - ``BENCH_serving.json`` / ``BENCH_quant.json`` — **warn only**: the
   dynamic-batching and int8 records depend on thread scheduling and are
@@ -34,10 +34,7 @@ Policy:
   byte-identical to a ``winograd=False`` compile (the exact int8
   Winograd layers), and its pipeline within 2% of the float-carried
   one; the ``batch1`` row's batch-1
-  compiled PatternNet must match eager within 1e-4. A flagship
-  ``speedup_tuned_vs_compiled`` below 0.95 additionally **warns** that
-  measured tuning went slower than the static default beyond probe
-  noise.
+  compiled PatternNet must match eager within 1e-4.
 - ``BENCH_serving.json`` load-scenario check — **hard fail**, within-run:
   the trace-driven ``scenario_*`` rows (``benchmarks/loadgen.py``) must
   show zero dropped admitted frames, transport answers matching
@@ -75,14 +72,11 @@ TRACKED = {
         "hard_fail": True,
         "metrics": [
             "configs.*.speedup_compiled_vs_eager",
-            "configs.*.speedup_tuned_vs_static",
             "configs.*.speedup_winograd_vs_im2col",
             "configs.*.speedup_int_vs_float_gemm",
         ],
         "same_machine_only": [
             "configs.*.compiled_images_per_sec",
-            "configs.*.tuned_images_per_sec",
-            "configs.*.static_images_per_sec",
             "configs.*.winograd_images_per_sec",
             "configs.*.int_gemm_images_per_sec",
             "configs.batch1.images_per_sec",
@@ -304,12 +298,6 @@ def check_load_scenarios(fresh: dict) -> Tuple[List[str], List[str]]:
 #: quantization error itself.
 INT8_KERNEL_REL_DIFF_CEILING = 0.02
 
-#: Tuned-vs-compiled ratio below which the guard warns that measured
-#: tuning made the flagship pipeline slower than the static default
-#: (the tuner's candidate set includes the default, so parity minus
-#: probe noise is the expectation).
-TUNED_VS_COMPILED_NOISE_FLOOR = 0.95
-
 
 def check_runtime_kernels(fresh: dict) -> Tuple[List[str], List[str]]:
     """Within-run kernel invariants on a fresh BENCH_runtime.json.
@@ -331,10 +319,6 @@ def check_runtime_kernels(fresh: dict) -> Tuple[List[str], List[str]]:
       (``int8_winograd_bit_exact``: the exact int8 F(2x2) schedule);
     - ``batch1`` row: the batch-1 compiled PatternNet must match eager
       within the same 1e-4 budget.
-
-    Plus one warning: flagship ``speedup_tuned_vs_compiled`` below
-    ``TUNED_VS_COMPILED_NOISE_FLOOR`` means measured tuning picked
-    schedules slower than the static default beyond probe noise.
     """
     failures: List[str] = []
     notes: List[str] = []
@@ -417,16 +401,6 @@ def check_runtime_kernels(fresh: dict) -> Tuple[List[str], List[str]]:
                 f"batch1: {batch1.get('images_per_sec')} images/s, "
                 f"diff vs eager {diff:.1e}"
             )
-
-    flagship = configs.get("pcnn_n2_p8", {})
-    tuned_ratio = flagship.get("speedup_tuned_vs_compiled")
-    if tuned_ratio is not None and tuned_ratio < TUNED_VS_COMPILED_NOISE_FLOOR:
-        notes.append(
-            f"WARN tuned pipeline slower than static compiled beyond "
-            f"probe noise ({tuned_ratio}x < "
-            f"{TUNED_VS_COMPILED_NOISE_FLOOR}x) — the tuning cache may "
-            f"hold stale schedules for this host"
-        )
     return failures, notes
 
 

@@ -13,10 +13,9 @@ Two granularities:
   roofline of one convolution executed as a GEMM of a given contraction
   width (MAC-slot compute cycles vs DRAM-interface memory cycles).
   :func:`inference_cost_by_layer` exposes the paper model layer by
-  layer. The runtime's schedule tuner
-  (:mod:`repro.runtime.tune`) consults :func:`conv_layer_cost` to rank
-  candidate per-layer schedules — dense GEMM vs native SPM gather —
-  without measuring anything.
+  layer; :func:`conv_layer_cost` prices one layer under a dense, pattern
+  gather or Winograd contraction, the roofline a measured CPU layer can
+  be set against.
 """
 
 from __future__ import annotations

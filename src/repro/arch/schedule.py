@@ -73,7 +73,7 @@ def schedule_layer(
     """Tile one conv layer under the weight-SRAM capacity.
 
     The per-layer unit :func:`schedule_network` aggregates — exposed so
-    callers (benchmarks, the runtime schedule tuner) can cost a single
+    callers (benchmarks, :func:`~repro.arch.latency.conv_layer_cost`) can cost a single
     layer without building a whole-network profile.
     """
     arch = arch or ArchConfig()

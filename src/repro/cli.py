@@ -129,31 +129,23 @@ def cmd_predict(args) -> int:
     rng = np.random.default_rng(args.seed)
     x = rng.normal(size=(args.batch, *shape))
 
-    if args.compile or args.quantize or args.tune:
+    if args.compile or args.quantize:
         # Compile once up front: BN folding, fused epilogues, float32
         # parameters and buffer arenas; the timed loop then serves from
         # the compiled pipeline. --quantize additionally lowers the conv
-        # trunk to int8 codes, calibrating on the benchmark inputs;
-        # --tune picks per-layer schedules (cost model or measured,
-        # persisted in the tuning cache).
+        # trunk to int8 codes, calibrating on the benchmark inputs.
         try:
             model = runtime.compile_model(
                 model,
                 quantize="int8" if args.quantize else None,
                 calibration=x if args.quantize else None,
-                tune=args.tune,
                 input_shape=shape,
                 winograd=not args.no_winograd,
             )
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        labels = [
-            label
-            for label, on in (("int8", args.quantize), (f"tune={args.tune}", args.tune))
-            if on
-        ]
-        setting += f" [compiled{' ' + ' '.join(labels) if labels else ''}]"
+        setting += f" [compiled{' int8' if args.quantize else ''}]"
 
     runtime.default_cache.clear()
     # Warm-up pass builds the execution plans (and compiled-path arena
@@ -253,7 +245,6 @@ def build_model_server(args):
         max_latency_ms=args.max_latency_ms,
         compile=not args.no_compile,
         quantize="int8" if args.quantize else None,
-        tune=args.tune,
         max_queue=getattr(args, "max_queue", None),
         slo_ms=getattr(args, "slo_ms", None),
         memory_budget_mb=getattr(args, "memory_budget_mb", None),
@@ -489,12 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         "codes, requantizing epilogues; implies --compile)",
     )
     p_pred.add_argument(
-        "--tune", choices=("cost", "measure"), default=None,
-        help="pick per-layer conv schedules: 'cost' via the analytic "
-        "accelerator model, 'measure' via short timed probes persisted "
-        "in ~/.cache/repro-tune.json (implies --compile)",
-    )
-    p_pred.add_argument(
         "--workers", type=int, default=None,
         help="run micro-batches on a thread pool of this size",
     )
@@ -589,12 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quantize", action="store_true",
         help="compile served models to the int8 execution path "
         "(incompatible with --no-compile)",
-    )
-    p_serve.add_argument(
-        "--tune", choices=("cost", "measure"), default=None,
-        help="compile served models with per-layer schedule tuning "
-        "(measure persists winners in the tuning cache, so warm "
-        "restarts skip the measurement; incompatible with --no-compile)",
     )
     p_serve.add_argument(
         "--list-models", action="store_true",

@@ -15,15 +15,11 @@
   pipeline: the model lowers onto a small graph IR
   (:class:`Graph`, :mod:`repro.runtime.ir`) transformed by a validated
   :class:`PassManager` sequence (``lower → fold_bn → fuse_epilogues →
-  winograd → [tune] → [quantize] → link_halos → assign_arenas →
-  finalize``) into
-  BN-folded, epilogue-fused, channels-last ops over per-thread
-  zero-allocation :class:`Arena` workspaces.
-- :mod:`repro.runtime.tune` — the static schedule rules and the
-  cost-model/autotune pass: ``compile_model(tune="cost")`` ranks
-  per-layer schedules with the analytic accelerator model,
-  ``tune="measure"`` times the top candidates and persists winners in
-  the :class:`TuningCache` (``~/.cache/repro-tune.json``).
+  winograd → [quantize] → link_halos → assign_arenas → finalize``)
+  into BN-folded, epilogue-fused, channels-last ops over per-thread
+  zero-allocation :class:`Arena` workspaces. Every conv's schedule is
+  static: Winograd F(m x m, 3x3) where eligible, else the im2col GEMM,
+  SPM convs decoded when their operand is built.
 - :mod:`repro.runtime.quant` — the int8 execution path:
   ``compile_model(quantize="int8", calibration=batch)`` runs the conv
   trunk on integer weight/activation codes with requantizing epilogues
@@ -43,16 +39,8 @@ from .passes import (
     default_passes,
 )
 from .plan import ExecutionPlan, PlanCache, PlanCacheStats
-from .predict import PredictStats, predict
+from .predict import PredictStats, effective_cpu_count, predict
 from .quant import QuantizationConfig, QuantizationReport, resolve_quantization
-from .tune import (
-    ConvSchedule,
-    TuningCache,
-    TuningCacheStats,
-    TuningReport,
-    effective_cpu_count,
-    get_tuning_cache,
-)
 
 __all__ = [
     "Arena",
@@ -81,10 +69,5 @@ __all__ = [
     "PASS_REGISTRY",
     "CompileContext",
     "default_passes",
-    "ConvSchedule",
-    "TuningCache",
-    "TuningCacheStats",
-    "TuningReport",
     "effective_cpu_count",
-    "get_tuning_cache",
 ]

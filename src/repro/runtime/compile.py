@@ -7,7 +7,7 @@ ops with explicit producer/consumer links and per-edge tensor metadata)
 and a :class:`~repro.runtime.passes.PassManager` transforms that graph
 through named, independently-testable passes::
 
-    lower → fold_bn → fuse_epilogues → [tune] → [quantize]
+    lower → fold_bn → fuse_epilogues → winograd → [quantize]
           → link_halos → assign_arenas → finalize
 
 What the pipeline ends up with (see :mod:`repro.runtime.passes` for the
@@ -30,12 +30,11 @@ per-pass detail):
   loop does zero large allocations.
 - **Halo linking** — producers write activations straight into the
   consumer's padded-buffer interior, skipping the pad copy.
-- **Per-layer schedules** — SPM convs gather natively from pattern
-  storage when the grouped contraction is narrower than the dense GEMM
-  (the static rule in :mod:`repro.runtime.tune`), and
-  ``compile_model(tune="cost"|"measure")`` replaces that heuristic with
-  the analytic accelerator cost model or short empirical measurements
-  persisted in a :class:`~repro.runtime.tune.TuningCache`.
+- **Static per-layer schedules** — eligible 3x3/stride-1 convs run
+  Winograd F(m x m, 3x3), the rest the im2col column GEMM. SPM convs
+  decode their encoding transiently when the operand is built, so they
+  take the same rule as dense convs: on a CPU the grouped pattern
+  gather is no narrower than the dense GEMM (docs/KERNELS.md).
 
 Residual topologies lower through two small model-side hooks instead of
 tracing: ``lowering_sequence()`` (an ordered list of submodules — VGG16,
@@ -58,7 +57,6 @@ from ..nn.functional import im2col_nhwc, pool_windows_nhwc
 from .arena import Arena
 from .ir import Graph, TensorMeta
 from .plan import ExecutionPlan, PlanCache
-from .tune import GATHER_WIDTH_LIMIT  # noqa: F401  (canonical home: tune.py)
 from .winograd import transforms as wino_transforms
 from .winograd import weight_transform as wino_weight_transform
 from .winograd import wino_geometry
@@ -69,9 +67,8 @@ __all__ = ["compile_model", "CompiledModel", "Epilogue", "fold_batchnorm"]
 # slabs. Byte-based rather than element-based so the float32 pipeline
 # gets twice the rows of a float64 one for the same memory footprint;
 # larger monolithic slabs measurably beat many small GEMMs until the
-# workspace falls out of cache. A tuned ``ConvOp.slab_bytes`` overrides
-# this budget per layer (still batch-adaptive: rows are derived from the
-# budget at each call's geometry).
+# workspace falls out of cache. Rows are derived from the budget at each
+# call's geometry, so it holds at any batch.
 SLAB_BYTES = 64 * 2**20
 
 # Serialises the lazy builds of derived GEMM operands (prepare(), the
@@ -345,25 +342,23 @@ class ConvOp(_InferenceOp):
     The op is created by the ``lower`` pass with its *source*
     parameters — the raw ``weight``/``bias`` (or SPM ``encoded``) plus
     geometry — and mutated by later passes: ``fold_bn`` rewrites the
-    parameters, ``fuse_epilogues`` sets ``relu``, ``tune`` picks
-    ``use_gather``/``slab_bytes``, ``link_halos`` sets ``halo``. The
+    parameters, ``fuse_epilogues`` sets ``relu``, ``winograd`` sets
+    ``wino_m``, ``link_halos`` sets ``halo``. The
     *derived* state is built by :meth:`prepare` (the :class:`Epilogue`,
     and a dense column-GEMM conv's operand), which the ``finalize`` pass
     runs eagerly and :meth:`bind` on demand, and by the schedule that
     runs: ``weight_t`` — the ``(KH*KW*C_in[+1], C_out)`` NHWC column-GEMM
     operand with the bias folded in as an extra row against an all-ones
     column, decoded from SPM on first use — or the Winograd operand
-    ``U``, or the grouped gather operand. Each op holds only the operand
+    ``U``. Each op holds only the operand
     its schedule multiplies by; a pass that changes source parameters
     calls :meth:`invalidate` to force a rebuild.
 
     Two schedules: Winograd F(m x m, 3x3) (``wino_m``) and the column
     GEMM. The column GEMM unfolds the input with im2col and multiplies
-    it by the dense operand, or — for SPM-encoded layers with
-    ``use_gather`` — gathers the ``|P| * n`` pattern positions per
-    channel and multiplies by the grouped pattern weights natively.
-    It runs monolithic, or in bands of whole images (or of output rows)
-    when the columns outgrow the workspace budget. Every schedule ends
+    it by the dense operand. It runs monolithic, or in bands of whole
+    images (or of output rows) when the columns outgrow
+    :attr:`band_bytes`. Every schedule ends
     in the same two hooks, :meth:`_out_dtype` and :meth:`_epilogue`,
     which is all the int8 op overrides besides its GEMM operand.
 
@@ -383,24 +378,20 @@ class ConvOp(_InferenceOp):
     encoded: Optional[object] = None
     relu: bool = False
     dtype: Optional[object] = None
-    use_gather: bool = False
-    wino_m: int = 0  # Winograd output-tile size (0 = im2col/gather GEMM)
-    slab_bytes: Optional[int] = None  # tuned per-layer workspace budget
-    schedule: Optional[object] = None  # ConvSchedule annotation (tune pass)
+    wino_m: int = 0  # Winograd output-tile size (0 = im2col GEMM)
     halo: Optional[Tuple[str, int]] = None  # (consumer tag, consumer padding)
     # Derived state (prepare() and the schedule's operand builders):
     weight_t: Optional[np.ndarray] = field(default=None, repr=False)
     bias_rows: int = 0  # 1 when the bias is folded into weight_t, else 0
     epilogue: Optional[Epilogue] = field(default=None, repr=False)
-    _grouped_t: Optional[np.ndarray] = field(default=None, repr=False)
     _wino_u: Optional[np.ndarray] = field(default=None, repr=False)
     _prepared: bool = field(default=False, repr=False)
 
     layout_in = "nhwc"
     layout_out = "nhwc"
     spatial_only = True
-    #: Column-workspace budget of the GEMM schedule when no tuned
-    #: ``slab_bytes`` applies (see :meth:`_bands`).
+    #: Workspace budget (bytes) of one band of either schedule (see
+    #: :meth:`_bands`); an instance may set its own.
     band_bytes = SLAB_BYTES
 
     # -- derived-state lifecycle --------------------------------------
@@ -410,7 +401,7 @@ class ConvOp(_InferenceOp):
         A dense conv on the column GEMM also gets its ``weight_t`` here;
         every other operand is built by the schedule that multiplies by
         it. Idempotent; run eagerly by the ``finalize`` pass and lazily
-        by :meth:`bind` (measurement clones execute before finalize).
+        by :meth:`bind` (calibration clones execute before finalize).
         """
         if self._prepared:
             return
@@ -423,8 +414,8 @@ class ConvOp(_InferenceOp):
             # The column-GEMM operand appends the bias as a GEMM row; the
             # column buffer carries a matching all-ones column, so the
             # bias add costs one extra GEMM row instead of a pass over
-            # the output. The gather operand has no such row.
-            self.bias_rows = int(bias is not None and not self.use_gather)
+            # the output.
+            self.bias_rows = int(bias is not None)
             self.epilogue = Epilogue(bias=bias, relu=self.relu)
             self._prepared = True
             if self.encoded is None and not self.wino_m:
@@ -435,7 +426,6 @@ class ConvOp(_InferenceOp):
         self.weight_t = None
         self.bias_rows = 0
         self.epilogue = None
-        self._grouped_t = None
         self._wino_u = None
         self._prepared = False
 
@@ -446,7 +436,7 @@ class ConvOp(_InferenceOp):
         return total
 
     def derived_nbytes(self) -> int:
-        total = _arr_nbytes(self.weight_t, self._grouped_t, self._wino_u)
+        total = _arr_nbytes(self.weight_t, self._wino_u)
         if self.encoded is not None:
             total += self.encoded.cached_nbytes
         return total
@@ -458,14 +448,8 @@ class ConvOp(_InferenceOp):
             self.encoded.invalidate_caches()
         return freed
 
-    def clone_with(
-        self,
-        *,
-        use_gather: Optional[bool] = None,
-        slab_bytes: Optional[int] = None,
-        wino_m: Optional[int] = None,
-    ) -> "ConvOp":
-        """Fresh unprepared copy with an overridden schedule (tuner probes)."""
+    def clone_with(self, *, wino_m: int) -> "ConvOp":
+        """Fresh unprepared copy on another Winograd tile (calibration)."""
         return ConvOp(
             stride=self.stride,
             padding=self.padding,
@@ -478,15 +462,13 @@ class ConvOp(_InferenceOp):
             encoded=self.encoded,
             relu=self.relu,
             dtype=self.dtype,
-            use_gather=self.use_gather if use_gather is None else use_gather,
-            wino_m=self.wino_m if wino_m is None else wino_m,
-            slab_bytes=slab_bytes,
+            wino_m=wino_m,
         )
 
     def bind(self, x, state):
         if not self._prepared:
             self.prepare()
-        if self.wino_m and not self.use_gather:
+        if self.wino_m:
             thunk = self._bind_winograd(x, state)
             if thunk is not None:
                 return thunk
@@ -556,18 +538,11 @@ class ConvOp(_InferenceOp):
         k = weight_t.shape[0] - self.bias_rows
         return [(0, k)], [weight_t], self.bias_rows
 
-    def _band_budget(self) -> int:
-        """Workspace bytes one band may use: ``band_bytes``, capped by a
-        tuned ``slab_bytes``."""
-        if self.slab_bytes is None:
-            return self.band_bytes
-        return min(self.band_bytes, self.slab_bytes)
-
     def _image_bands(self, n: int, image_bytes: int) -> List[Tuple[int, int]]:
         """``(i0, i1)`` bands of whole images: one band when all ``n``
         fit the budget, otherwise balanced bands of as many images as
         fit (at least one each)."""
-        budget = self._band_budget()
+        budget = self.band_bytes
         if n * image_bytes <= budget:
             return [(0, n)]
         imgs = max(1, budget // image_bytes)
@@ -582,7 +557,7 @@ class ConvOp(_InferenceOp):
         one image alone outgrows the budget. ``row_bytes`` is one output
         row's columns.
         """
-        budget = self._band_budget()
+        budget = self.band_bytes
         if n * oh * row_bytes > budget and oh * row_bytes > budget:
             rows = max(1, budget // (n * row_bytes))
             return [(0, n, r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
@@ -590,25 +565,14 @@ class ConvOp(_InferenceOp):
 
     def _bind_gemm(self, x, state):
         """Bind the column GEMM schedule for ``x``: im2col columns times
-        the dense operand, or the gathered pattern positions times the
-        grouped one."""
+        the dense operand."""
         arena = state.arena
         plan = self._plan(x, state)
         n = plan.batch
-        kh, kw = self.kernel
+        kh = self.kernel[0]
         oh, ow = plan.out_hw
         c_in, c_out, stride = self.c_in, self.c_out, self.stride
-        offsets = None
-        if self.use_gather:
-            # The columns are the |P| * n pattern positions per channel,
-            # in the grouped operand's (code, slot, channel) row order:
-            # one strided slice of the input per position, no im2col.
-            grouped = self._grouped_operand()
-            spans, blocks, extra = [(0, grouped.shape[0])], [grouped], 0
-            positions = self.encoded.gather_plan().positions_by_code.ravel()
-            offsets = [divmod(int(pos), kw) for pos in positions]
-        else:
-            spans, blocks, extra = self._gemm_blocks()
+        spans, blocks, extra = self._gemm_blocks()
         k = spans[-1][1]
         dtype = np.result_type(x.dtype, blocks[0].dtype)
         single = len(blocks) == 1
@@ -649,20 +613,6 @@ class ConvOp(_InferenceOp):
             windows = (i1 - i0) * (r1 - r0) * ow
             cols = cols_buf[:windows]
             h0, h1 = r0 * stride, (r1 - 1) * stride + 1
-            copies = None
-            if offsets is not None:
-                cols5 = cols.reshape(i1 - i0, r1 - r0, ow, len(offsets), c_in)
-                copies = [
-                    (
-                        cols5[:, :, :, j],
-                        (
-                            slice(i0, i1),
-                            slice(h0 + dr, h1 + dr, stride),
-                            slice(dc, dc + (ow - 1) * stride + 1, stride),
-                        ),
-                    )
-                    for j, (dr, dc) in enumerate(offsets)
-                ]
             base = i0 * oh * ow if r1 - r0 == oh else 0
             tile = acc_mat[base : base + windows]
             tile4 = tile.reshape(i1 - i0, r1 - r0, ow, c_out)
@@ -671,7 +621,6 @@ class ConvOp(_InferenceOp):
                     (slice(i0, i1), slice(h0, h1 + kh - 1)),
                     cols[:, :k],
                     cols[:, k:] if extra else None,
-                    copies,
                     cols,
                     tile,
                     tile4,
@@ -697,14 +646,10 @@ class ConvOp(_InferenceOp):
                 if x_in.base is not pad:
                     interior[...] = x_in
                 src = pad
-            for window, cols_k, ones, copies, cols, tile, tile4, dest_band, part in bound:
+            for window, cols_k, ones, cols, tile, tile4, dest_band, part in bound:
                 if ones is not None:
                     ones.fill(1.0)
-                if copies is None:
-                    im2col_nhwc(src[window], kernel, stride, out=cols_k)
-                else:
-                    for column, taps in copies:
-                        column[...] = src[taps]
+                im2col_nhwc(src[window], kernel, stride, out=cols_k)
                 gemm(cols, tile, part)
                 epilogue(tile4, dest_band)
             return dest
@@ -739,26 +684,6 @@ class ConvOp(_InferenceOp):
         if self.encoded is not None:
             return self.encoded.values.dtype
         return np.dtype(self.dtype) if self.dtype is not None else self.weight.dtype
-
-    def _grouped_operand(self) -> np.ndarray:
-        """Memoized ``(|P| * n * C_in, C_out)`` grouped pattern weights
-        in channels-last gather order: row ``(code, slot, channel)``
-        holds the non-zero value that multiplies that gathered column
-        (zero where the kernel belongs to another code)."""
-        if self._grouped_t is None:
-            with _derive_lock:
-                if self._grouped_t is None:
-                    enc = self.encoded
-                    grouped = np.zeros(
-                        (len(enc.codebook), enc.codebook.n_nonzero, self.c_in, self.c_out),
-                        dtype=enc.values.dtype,
-                    )
-                    kernels = np.arange(enc.num_kernels)
-                    grouped[enc.codes, :, kernels % self.c_in, kernels // self.c_in] = (
-                        enc.values
-                    )
-                    self._grouped_t = grouped.reshape(-1, self.c_out)
-        return self._grouped_t
 
     # -- Winograd F(m x m, 3x3) schedule ------------------------------
     def _wino_operand(self, m: int, x_dtype) -> "_WinoOperand":
@@ -795,7 +720,6 @@ class ConvOp(_InferenceOp):
             stride=self.stride,
             out_hw=out_hw,
             c_in=self.c_in,
-            use_gather=self.use_gather,
         )
         return default_tile(out_hw=out_hw, c_in=self.c_in, tiles=tiles)
 
@@ -803,7 +727,7 @@ class ConvOp(_InferenceOp):
         """Resolve the effective tile for one geometry (and persist it).
 
         ``wino_m > 0`` is a concrete compile-time choice (the winograd
-        pass with known shapes, or the tuner); ``wino_m == -1`` marks a
+        pass with known shapes); ``wino_m == -1`` marks a
         statically-eligible conv whose output size was unknown at
         compile time — :meth:`_tile_rule` resolves it here from the
         first execution plan and the result sticks, so describe() and
@@ -940,14 +864,10 @@ class ConvOp(_InferenceOp):
 
     def schedule_kind(self) -> str:
         """Per-layer schedule annotation for describe()/serving meta."""
-        if self.use_gather:
-            return "gather"
         if self.wino_m > 0:
             return f"winograd{self.wino_m}"
         if self.wino_m < 0:
             return "winograd-auto"
-        if self.slab_bytes is not None:
-            return "slab"
         return "im2col"
 
     def describe(self) -> str:
@@ -958,9 +878,7 @@ class ConvOp(_InferenceOp):
         if self.relu:
             fused.append("relu")
         label = f"{kind}" + (f"+{'+'.join(fused)}" if fused else "")
-        if self.schedule is not None:
-            label += f" [{self.schedule.describe()}]"
-        elif self.wino_m > 0:
+        if self.wino_m > 0:
             # Auto markers (wino_m < 0) stay silent until the first
             # execution plan resolves them to a concrete tile.
             label += f" [winograd{self.wino_m}]"
@@ -1305,6 +1223,17 @@ class ModuleOp(_InferenceOp):
     def describe(self) -> str:
         return f"module:{type(self.module).__name__}"
 
+
+def walk_ops(ops: Sequence[_InferenceOp]):
+    """Yield ``ops`` in order, each residual op followed by the ops of its
+    body and then its shortcut (recursively)."""
+    for op in ops:
+        yield op
+        if isinstance(op, ResidualOp):
+            yield from walk_ops(op.body)
+            yield from walk_ops(op.shortcut)
+
+
 # ---------------------------------------------------------------------
 # The compiled model
 # ---------------------------------------------------------------------
@@ -1321,8 +1250,8 @@ class CompiledModel:
 
     ``graph`` holds the pass-transformed IR the op list was linearised
     from, ``passes`` the :class:`~repro.runtime.passes.PassRecord` trace
-    of what each pass did, ``quantization``/``tuning`` the optional
-    reports — all rendered by :meth:`describe`.
+    of what each pass did, ``quantization`` the optional report — all
+    rendered by :meth:`describe`.
     """
 
     def __init__(
@@ -1346,9 +1275,6 @@ class CompiledModel:
         #: :class:`~repro.runtime.quant.QuantizationReport` when the
         #: pipeline was compiled with ``quantize=``, else ``None``.
         self.quantization = None
-        #: :class:`~repro.runtime.tune.TuningReport` when compiled with
-        #: ``tune=``, else ``None``.
-        self.tuning = None
         self._local = threading.local()
         # Every thread's _ExecState, so cross-thread byte accounting and
         # workspace release (fleet demotion) can reach arenas that the
@@ -1381,15 +1307,7 @@ class CompiledModel:
     # -- byte accounting & residency -----------------------------------
     def iter_ops(self):
         """Every executable op, recursing into residual branches."""
-
-        def walk(ops):
-            for op in ops:
-                yield op
-                if isinstance(op, ResidualOp):
-                    yield from walk(op.body)
-                    yield from walk(op.shortcut)
-
-        yield from walk(self.ops)
+        return walk_ops(self.ops)
 
     def memory_report(self) -> dict:
         """Byte breakdown of what this pipeline holds resident.
@@ -1511,7 +1429,7 @@ class CompiledModel:
 
         One row per conv-like op: the lowering tag, op class, the
         chosen schedule kind (``winograd4``/``winograd2``/``im2col``/
-        ``gather``/``slab``) and, for quantized convs, which int8 GEMM
+        ``winograd-auto``) and, for quantized convs, which int8 GEMM
         kernel serves the layer plus :meth:`QuantConvOp.schedule_detail`
         (an int8 Winograd layer's spans and staging dtype, or why an
         integer-kernel layer stays on im2col).
@@ -1570,11 +1488,13 @@ class CompiledModel:
         return self._macs[key]
 
     @staticmethod
-    def _walk_geometry(ops, tail, macs=None):
+    def _walk_geometry(ops, tail, macs=None, conv_hw=None):
         """Symbolically push a shape tail through ``ops`` (None = punt).
 
         With ``macs`` (a one-element list) the walk also adds each conv's
         and linear layer's dense multiply-accumulates per image to it.
+        With ``conv_hw`` (a dict) it records each conv's input ``(H, W)``
+        under the conv's tag, residual body and shortcut alike.
         """
         from ..nn.functional import conv_output_size
         from .quant import DequantizeOp, QuantizeOp
@@ -1594,6 +1514,8 @@ class CompiledModel:
                 if len(tail) != 3:
                     return None
                 h, w, _ = tail
+                if conv_hw is not None:
+                    conv_hw[op.tag] = (h, w)
                 oh = conv_output_size(h, op.kernel[0], op.stride, op.padding)
                 ow = conv_output_size(w, op.kernel[1], op.stride, op.padding)
                 tail = (oh, ow, op.c_out)
@@ -1628,11 +1550,10 @@ class CompiledModel:
                 if macs is not None:
                     macs[0] += op.weight_t.size
             elif isinstance(op, ResidualOp):
-                if macs is not None and (
-                    CompiledModel._walk_geometry(op.shortcut, tail, macs) is None
-                ):
+                walk = CompiledModel._walk_geometry
+                if walk(op.shortcut, tail, macs, conv_hw) is None:
                     return None
-                tail = CompiledModel._walk_geometry(op.body, tail, macs)
+                tail = walk(op.body, tail, macs, conv_hw)
                 if tail is None:
                     return None
             elif isinstance(op, (BatchNormOp, ReluOp, QuantizeOp, DequantizeOp)):
@@ -1652,8 +1573,6 @@ class CompiledModel:
                 if record.note:
                     lines.append(f"    {record.name}: {record.note}")
         lines.extend(f"  {i}: {op.describe()}" for i, op in enumerate(self.ops))
-        if self.tuning is not None:
-            lines.append("  tuning: " + self.tuning.describe().replace("\n", "\n  "))
         if self.quantization is not None:
             lines.append("  quantization: " + self.quantization.describe())
         memory = self.memory_report()
@@ -1680,9 +1599,7 @@ def compile_model(
     *,
     quantize=None,
     calibration: Optional[np.ndarray] = None,
-    tune: Optional[str] = None,
     input_shape: Optional[Sequence[int]] = None,
-    tuning_cache=None,
     winograd: bool = True,
     passes: Optional[Sequence[object]] = None,
 ) -> CompiledModel:
@@ -1709,30 +1626,21 @@ def compile_model(
     calibration:
         Small ``(N, C, H, W)`` batch used to calibrate activation scales
         when ``quantize`` is given.
-    tune:
-        Pick per-layer conv schedules instead of the static heuristic:
-        ``"cost"`` ranks candidates with the analytic accelerator cost
-        model (:func:`repro.arch.conv_layer_cost`, zero measurement);
-        ``"measure"`` additionally times the top candidates and persists
-        the winners in the :class:`~repro.runtime.tune.TuningCache`
-        (``~/.cache/repro-tune.json``), so later compiles of the same
-        geometry skip the measurement. Requires ``input_shape``.
     input_shape:
-        ``(C, H, W)`` of one input image — needed by ``tune`` to derive
-        per-layer geometry (``predict``/serving/CLI fill it in).
-    tuning_cache:
-        Explicit :class:`~repro.runtime.tune.TuningCache` (tests,
-        hermetic builds); defaults to the process-wide persisted one.
+        ``(C, H, W)`` of one input image. With it the ``winograd`` pass
+        picks each conv's tile at compile time; without it eligible
+        convs resolve their tile from the first execution plan
+        (``predict``/serving/CLI fill it in).
     winograd:
         Let the ``winograd`` pass mark eligible 3x3/stride-1 convs for
         the F(m x m, 3x3) fast-convolution path (default). ``False``
-        keeps every conv on its im2col/gather GEMM — the reference
+        keeps every conv on its im2col GEMM — the reference
         schedule benchmarks and equivalence tests compare against.
     passes:
         Override the pass list (names or
         :class:`~repro.runtime.passes.Pass` objects); the default is the
-        standard sequence with ``tune``/``quantize`` included when
-        requested. Ordering constraints are validated either way.
+        standard sequence with ``quantize`` included when requested.
+        Ordering constraints are validated either way.
 
     Notes
     -----
@@ -1754,9 +1662,7 @@ def compile_model(
         dtype=np.dtype(dtype) if dtype is not None else None,
         quantize=config,
         calibration=calibration,
-        tune=tune,
         input_shape=tuple(input_shape) if input_shape is not None else None,
-        tuning_cache=tuning_cache,
         winograd=winograd,
     )
     graph = Graph(TensorMeta("nchw"), name=type(model).__name__)
@@ -1766,5 +1672,4 @@ def compile_model(
         graph, dtype=dtype, source=type(model).__name__, passes=manager.records
     )
     compiled.quantization = ctx.quant_report
-    compiled.tuning = ctx.tuning_report
     return compiled

@@ -9,7 +9,7 @@ pipeline is checked against, so it stays a plain reference with no
 options. The path follows from what it is given:
 
 - **Dense weight** — im2col + one GEMM per output-row slab. Slabs keep
-  the column workspace under :data:`~repro.runtime.tune.TILE_THRESHOLD_ELEMENTS`;
+  the column workspace under :data:`TILE_THRESHOLD_ELEMENTS`;
   a geometry that fits runs as one slab (the monolithic GEMM).
 - **SPM encoding** — the paper's grouped contraction: kernels sharing
   an SPM code read the same ``n`` positions, so each slab is one GEMM of
@@ -17,7 +17,7 @@ options. The path follows from what it is given:
   (:meth:`~repro.core.spm.EncodedLayer.gather_plan`) against the grouped
   weight matrix (:meth:`~repro.core.spm.EncodedLayer.grouped_weight_matrix`).
   When the codebook is so diverse that this matrix would be more than
-  :data:`~repro.runtime.tune.GROUPED_EXPANSION_LIMIT` times the dense
+  :data:`GROUPED_EXPANSION_LIMIT` times the dense
   weight, the encoding is decoded for the call only and runs the dense
   path.
 
@@ -34,12 +34,25 @@ import numpy as np
 
 from ..nn.functional import im2col
 from .plan import ExecutionPlan, PlanCache
-from .tune import GROUPED_EXPANSION_LIMIT, TILE_THRESHOLD_ELEMENTS, gather_width_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.spm import EncodedLayer
 
 __all__ = ["dispatch", "default_cache"]
+
+#: Above this grouped-matrix expansion ratio the SPM path decodes the
+#: encoding and runs the dense GEMM instead (its job is demonstrating
+#: SPM-regular execution, so the bound is loose).
+GROUPED_EXPANSION_LIMIT = 4.0
+
+#: Workspace bound (elements) per im2col / gather slab: above it the
+#: conv runs over output-row slabs.
+TILE_THRESHOLD_ELEMENTS = 1 << 22
+
+
+def gather_width_ratio(num_patterns: int, n_nonzero: int, kernel_area: int) -> float:
+    """Grouped-contraction width relative to the dense one (|P|·n / k²)."""
+    return num_patterns * n_nonzero / kernel_area
 
 #: Process-wide plan cache shared by every dispatch() call that does not
 #: bring its own. Keys are pure geometry, so it never goes stale.

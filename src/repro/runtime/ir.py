@@ -6,7 +6,7 @@ explicit producer/consumer links and per-edge tensor metadata
 (:class:`TensorMeta`), and a
 :class:`~repro.runtime.passes.PassManager` transforms that graph through
 named, independently-testable passes (BN folding, epilogue fusion,
-quantization, tuning, halo linking, arena assignment).
+Winograd marking, quantization, halo linking, arena assignment).
 
 The IR is deliberately small:
 

@@ -4,7 +4,7 @@
 :class:`~repro.runtime.ir.Graph` and hands it to a :class:`PassManager`
 running the standard sequence::
 
-    lower → fold_bn → fuse_epilogues → winograd → [tune] → [quantize]
+    lower → fold_bn → fuse_epilogues → winograd → [quantize]
           → link_halos → assign_arenas → finalize
 
 Each pass is a named, independently-testable function
@@ -17,7 +17,6 @@ Each pass is a named, independently-testable function
 | ``fold_bn``      | fold every conv→BN pair into the conv's weight/bias         |
 | ``fuse_epilogues``| absorb a following ReLU into conv/linear/BN epilogues      |
 | ``winograd``     | mark eligible 3x3/s1 convs for the F(m,3) fast path         |
-| ``tune``         | pick per-conv schedules (cost model or measurement)         |
 | ``quantize``     | rewrite eligible convs to the int8 execution form           |
 | ``link_halos``   | point producers at their consumer's padded input buffer     |
 | ``assign_arenas``| check/record the workspace-tag manifest arenas key on       |
@@ -43,7 +42,6 @@ import numpy as np
 
 from .. import nn
 from .ir import Graph, TensorMeta
-from .tune import prefer_gather
 
 __all__ = [
     "CompileContext",
@@ -62,21 +60,17 @@ class CompileContext:
 
     Inputs come from :func:`repro.runtime.compile_model`'s arguments;
     the pass pipeline fills in the output fields (``quant_report``,
-    ``tuning_report``, ``arena_manifest``) as it runs.
+    ``arena_manifest``) as it runs.
     """
 
     model: object
     dtype: Optional[np.dtype] = None
     quantize: Optional[object] = None  # resolved QuantizationConfig
     calibration: Optional[np.ndarray] = None
-    tune: Optional[str] = None  # None | "cost" | "measure"
-    input_shape: Optional[Tuple[int, ...]] = None  # (C, H, W), for tune
-    tuning_cache: Optional[object] = None
-    tune_batch: int = 16  # batch the chunk-size tuner measures at
+    input_shape: Optional[Tuple[int, ...]] = None  # (C, H, W), for winograd
     winograd: bool = True  # let the winograd pass mark eligible convs
     # Outputs:
     quant_report: Optional[object] = None
-    tuning_report: Optional[object] = None
     arena_manifest: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -196,13 +190,11 @@ class PassManager:
 
 
 def default_passes(ctx: CompileContext) -> List[Pass]:
-    """The standard pipeline for one context (tune/quantize included
+    """The standard pipeline for one context (winograd/quantize included
     only when requested, so the trace shows exactly what ran)."""
     names = ["lower", "fold_bn", "fuse_epilogues"]
     if ctx.winograd:
         names.append("winograd")
-    if ctx.tune is not None:
-        names.append("tune")
     if ctx.quantize is not None:
         names.append("quantize")
     names += ["link_halos", "assign_arenas", "finalize"]
@@ -256,12 +248,6 @@ def _lower_conv(step: nn.Conv2d, ctx: CompileContext):
     params = step.inference_params()
     weight, bias, encoded = params["weight"], params["bias"], params["encoded"]
     kh = kw = step.kernel_size
-    use_gather = False
-    if encoded is not None:
-        # Static schedule heuristic (the tune pass may override): gather
-        # only when the grouped contraction is narrower than the dense
-        # one (see repro.runtime.tune.GATHER_WIDTH_LIMIT).
-        use_gather = prefer_gather(encoded, kh * kw)
     return ConvOp(
         stride=step.stride,
         padding=step.padding,
@@ -273,7 +259,6 @@ def _lower_conv(step: nn.Conv2d, ctx: CompileContext):
         bias=bias,
         encoded=encoded,
         dtype=ctx.dtype,
-        use_gather=use_gather,
     )
 
 
@@ -392,7 +377,7 @@ def _lower_steps(steps: Sequence[object], ctx: CompileContext, graph: Graph) -> 
             raise TypeError(f"cannot lower step {step!r}")
 
 
-@compiler_pass("lower", before=("fold_bn", "fuse_epilogues", "tune", "quantize"))
+@compiler_pass("lower", before=("fold_bn", "fuse_epilogues", "quantize"))
 def pass_lower(graph: Graph, ctx: CompileContext) -> str:
     """Walk the module tree into unfused graph nodes (+ layout casts)."""
     _lower_steps(_expand(ctx.model), ctx, graph)
@@ -455,7 +440,7 @@ def pass_fold_bn(graph: Graph, ctx: CompileContext) -> str:
 @compiler_pass(
     "fuse_epilogues",
     after=("lower", "fold_bn"),
-    before=("tune", "quantize", "link_halos", "finalize"),
+    before=("quantize", "link_halos", "finalize"),
 )
 def pass_fuse_epilogues(graph: Graph, ctx: CompileContext) -> str:
     """Absorb each standalone ReLU into its producer's fused epilogue.
@@ -494,42 +479,41 @@ def pass_fuse_epilogues(graph: Graph, ctx: CompileContext) -> str:
 @compiler_pass(
     "winograd",
     after=("lower", "fold_bn", "fuse_epilogues"),
-    before=("tune", "quantize", "link_halos", "assign_arenas", "finalize"),
+    before=("quantize", "link_halos", "assign_arenas", "finalize"),
 )
 def pass_winograd(graph: Graph, ctx: CompileContext) -> str:
     """Mark eligible convs for the Winograd F(m x m, 3x3) fast path.
 
-    Eligibility is static (3x3 kernel, stride 1, no gather schedule —
-    see :func:`repro.runtime.winograd.eligible_tiles`);
-    the *tile* needs each conv's output size. With ``ctx.input_shape``
-    the pass propagates shapes analytically and picks a concrete tile
-    per layer (``wino_m = 4``/``2``); without it, eligible convs get the
+    Eligibility is static (3x3 kernel, stride 1 — see
+    :func:`repro.runtime.winograd.eligible_tiles`); SPM convs qualify
+    like dense ones, their operand decoded when it is built. The *tile*
+    needs each conv's output size. With ``ctx.input_shape`` the pass
+    propagates shapes analytically
+    (:meth:`~repro.runtime.compile.CompiledModel._walk_geometry`) and
+    picks a concrete tile per layer (``wino_m = 4``/``2``); without it,
+    or past an op the walk cannot see through, eligible convs get the
     ``wino_m = -1`` auto marker and the static tile rule resolves from
-    the first execution plan instead. Runs before ``tune`` on purpose:
-    the marks are the heuristic default the tuner arbitrates against
-    (and can overturn per layer, cost- or measurement-ranked).
+    the first execution plan instead.
     """
-    from .compile import ConvOp
-    from .tune import _conv_shapes_analytic
+    from .compile import CompiledModel, ConvOp
     from .winograd import default_tile, eligible_tiles
 
     shapes = None
     if ctx.input_shape is not None:
-        shapes = _conv_shapes_analytic(graph.op_list(), ctx.input_shape)
+        shapes = {}
+        if CompiledModel._walk_geometry(
+            graph.op_list(), tuple(ctx.input_shape), conv_hw=shapes
+        ) is None:
+            shapes = None
 
     counts: Dict[int, int] = {}
     for node in graph.walk():
         op = node.op
         if not isinstance(op, ConvOp):
             continue
-        if (
-            tuple(op.kernel) != (3, 3)
-            or op.stride != 1
-            or op.use_gather
-            or op.c_in < 16
-        ):
+        if tuple(op.kernel) != (3, 3) or op.stride != 1 or op.c_in < 16:
             continue
-        in_hw = shapes.get(id(op)) if shapes is not None else None
+        in_hw = shapes.get(op.tag) if shapes is not None else None
         if in_hw is None:
             op.wino_m = -1  # auto: resolved from the first execution plan
             counts[-1] = counts.get(-1, 0) + 1
@@ -540,7 +524,6 @@ def pass_winograd(graph: Graph, ctx: CompileContext) -> str:
             stride=op.stride,
             out_hw=out_hw,
             c_in=op.c_in,
-            use_gather=op.use_gather,
         )
         m = default_tile(out_hw=out_hw, c_in=op.c_in, tiles=tiles)
         if m:
@@ -556,39 +539,11 @@ def pass_winograd(graph: Graph, ctx: CompileContext) -> str:
 
 
 # ---------------------------------------------------------------------
-# tune
-# ---------------------------------------------------------------------
-@compiler_pass(
-    "tune",
-    after=("fold_bn", "fuse_epilogues", "winograd"),
-    before=("quantize", "link_halos", "assign_arenas", "finalize"),
-)
-def pass_tune(graph: Graph, ctx: CompileContext) -> str:
-    """Pick per-conv schedules with the cost model or measurements.
-
-    Runs before ``quantize`` on purpose: a conv's tuned
-    ``use_gather``/``slab_bytes`` carry over onto its int8 form.
-    """
-    from .tune import tune_graph
-
-    report = tune_graph(graph, ctx)
-    ctx.tuning_report = report
-    note = (
-        f"tune={report.mode}: {report.tuned_layers} conv(s), "
-        f"{report.changed_layers} changed, cache {report.cache_hits}h/"
-        f"{report.cache_misses}m"
-    )
-    if report.micro_batch is not None:
-        note += f", micro_batch={report.micro_batch}"
-    return note
-
-
-# ---------------------------------------------------------------------
 # quantize
 # ---------------------------------------------------------------------
 @compiler_pass(
     "quantize",
-    after=("fold_bn", "fuse_epilogues", "tune"),
+    after=("fold_bn", "fuse_epilogues"),
     before=("link_halos", "assign_arenas", "finalize"),
 )
 def pass_quantize(graph: Graph, ctx: CompileContext) -> str:
@@ -622,7 +577,7 @@ def pass_quantize(graph: Graph, ctx: CompileContext) -> str:
 # ---------------------------------------------------------------------
 @compiler_pass(
     "link_halos",
-    after=("fuse_epilogues", "tune", "quantize"),
+    after=("fuse_epilogues", "quantize"),
     before=("finalize",),
 )
 def pass_link_halos(graph: Graph, ctx: CompileContext) -> str:

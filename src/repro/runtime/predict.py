@@ -25,6 +25,7 @@ Two throughput levers stack on top:
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import weakref
@@ -37,9 +38,13 @@ import numpy as np
 from .. import nn
 from . import blas
 from .compile import CompiledModel, compile_model
-from .tune import effective_cpu_count
 
-__all__ = ["PredictStats", "predict", "LANE_MIN_MACS"]
+__all__ = ["PredictStats", "predict", "effective_cpu_count", "LANE_MIN_MACS"]
+
+#: Environment variable overriding the CPU count
+#: :func:`effective_cpu_count` reports, for deployments whose cgroup CPU
+#: quota is narrower than the affinity mask.
+CPUS_ENV = "REPRO_TUNE_CPUS"
 
 #: Dense multiply-accumulates each automatic batch lane must carry. A
 #: lane this size is ~10 ms of single-threaded float32 GEMM, against
@@ -67,6 +72,29 @@ def _shared_pool(workers: int) -> ThreadPoolExecutor:
             )
             _pools[workers] = pool
         return pool
+
+
+def effective_cpu_count() -> int:
+    """CPUs this process can actually run on — ``predict``'s lane count.
+
+    ``os.cpu_count()`` reports the machine, not the process: under CPU
+    affinity (``taskset``) it overstates the hardware budget, and a
+    cgroup quota shows in neither. Resolution order: the
+    :data:`CPUS_ENV` override, then ``len(os.sched_getaffinity(0))``,
+    then ``os.cpu_count()``.
+    """
+    override = os.environ.get(CPUS_ENV)
+    if override:
+        try:
+            value = int(override)
+        except ValueError:
+            value = 0
+        if value > 0:
+            return value
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def _auto_lanes(compiled: CompiledModel, x: np.ndarray) -> int:
@@ -156,8 +184,6 @@ def predict(
     compile: bool = False,
     quantize=None,
     calibration: Optional[np.ndarray] = None,
-    tune: Optional[str] = None,
-    tuning_cache=None,
     stats: Optional[PredictStats] = None,
 ) -> np.ndarray:
     """Run ``model`` over a batch of inputs through the runtime engine.
@@ -182,7 +208,7 @@ def predict(
         distinct size), so repeated serving loops never pay pool (or
         thread-local arena) startup per call. ``None`` means automatic:
         a compiled model splits the batch into one lane per usable core
-        (:func:`~repro.runtime.tune.effective_cpu_count`), as long as
+        (:func:`effective_cpu_count`), as long as
         each lane carries at least :data:`LANE_MIN_MACS` dense MACs
         (:meth:`~repro.runtime.compile.CompiledModel.dense_macs`) and
         BLAS threads can be controlled; ``micro_batch`` or ``executor``
@@ -213,16 +239,6 @@ def predict(
         ``compile_model(quantize=...)`` once with a held-out batch).
     calibration:
         Optional ``(N, C, H, W)`` batch for ``quantize`` calibration.
-    tune:
-        Compile with per-layer schedule tuning (``"cost"`` for the
-        analytic model, ``"measure"`` for measured schedules persisted
-        in the :class:`~repro.runtime.tune.TuningCache`). Implies
-        ``compile=True``; the input geometry is taken from ``x``. A
-        tuned micro-batch chunk size (measure mode) applies when neither
-        ``micro_batch`` nor ``workers`` pins the chunking.
-    tuning_cache:
-        Explicit :class:`~repro.runtime.tune.TuningCache` for ``tune``
-        (defaults to the persisted process-wide one).
     stats:
         Optional :class:`PredictStats` filled in with timings.
 
@@ -246,14 +262,7 @@ def predict(
                 "quantize= has no effect on an already-compiled model; "
                 "pass the eager model, or compile_model(quantize=...) yourself"
             )
-    if tune is not None and isinstance(model, CompiledModel) and model.tuning is None:
-        # Same contract for tuning: an untuned compiled model cannot be
-        # re-scheduled here.
-        raise ValueError(
-            "tune= has no effect on an already-compiled model; "
-            "pass the eager model, or compile_model(tune=...) yourself"
-        )
-    compile = compile or quantize is not None or tune is not None
+    compile = compile or quantize is not None
     want_compiled = compile or isinstance(model, CompiledModel)
     if x.shape[0] == 0:
         # A batcher flush or a drained queue legitimately produces N=0:
@@ -286,9 +295,7 @@ def predict(
             model,
             quantize=quantize,
             calibration=calibration if calibration is not None else x,
-            tune=tune,
             input_shape=x.shape[1:],
-            tuning_cache=tuning_cache,
         )
     compiled = model if isinstance(model, CompiledModel) else None
 
@@ -301,12 +308,6 @@ def predict(
     if micro_batch is None and workers > 1:
         # One chunk per worker keeps every thread busy exactly once.
         micro_batch = -(-batch // workers)
-    elif micro_batch is None and compiled is not None and compiled.tuning is not None:
-        # A measured tuning run recorded the winning chunk size; apply
-        # it when the caller pinned neither chunking nor workers.
-        tuned_chunk = compiled.tuning.micro_batch
-        if tuned_chunk is not None and tuned_chunk < batch:
-            micro_batch = tuned_chunk
     step = batch if micro_batch is None else micro_batch
     chunks = [x[lo : lo + step] for lo in range(0, batch, step)]
     # Ragged tail chunk on the compiled path: pad it up to the uniform

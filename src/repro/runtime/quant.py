@@ -51,12 +51,14 @@ from .compile import (
     ConvOp,
     MaxPoolOp,
     ReluOp,
+    ResidualOp,
     _arr_nbytes,
     _derive_lock,
     _ExecState,
     _InferenceOp,
     _nhwc_rows,
     _WinoOperand,
+    walk_ops,
 )
 from .plan import PlanCache
 from .winograd import transforms as wino_transforms
@@ -433,7 +435,7 @@ class QuantConvOp(ConvOp):
     """Channels-last convolution executed on int8 codes.
 
     Subclasses :class:`~repro.runtime.compile.ConvOp` and runs its
-    schedules (column GEMM, gather, bands, halo hand-off) unchanged;
+    schedules (column GEMM, Winograd, bands, halo hand-off) unchanged;
     it only swaps the arithmetic at the two ends. ``weight_t`` holds
     integer weight codes (float-carried, bias folded in as an appended
     code-space row against the column buffer's ones column), inputs are
@@ -496,7 +498,7 @@ class QuantConvOp(ConvOp):
         return total
 
     def derived_nbytes(self) -> int:
-        total = _arr_nbytes(self._mult_cache, self._grouped_t, self._wino_u)
+        total = _arr_nbytes(self._mult_cache, self._wino_u)
         if self._w_blocks is not None:
             total += sum(blk.nbytes for blk in self._w_blocks)
         if self.encoded is not None:
@@ -506,8 +508,8 @@ class QuantConvOp(ConvOp):
     def release_derived(self) -> int:
         """Drop only the rebuildable state (multiplier cache, the blocked
         kernel's span operands or Winograd operand ``U'`` with their
-        certificates, the grouped gather operand and the encoded layer's
-        memoized matrices); the int8 artifact stays — see
+        certificates, and the encoded layer's memoized matrices); the
+        int8 artifact stays — see
         :meth:`param_nbytes`."""
         freed = self.derived_nbytes()
         self._mult_cache = None
@@ -517,7 +519,6 @@ class QuantConvOp(ConvOp):
         self._wino_u = None
         self._wino_spans = None
         self._wino_stage = None
-        self._grouped_t = None
         if self.encoded is not None:
             self.encoded.invalidate_caches()
         return freed
@@ -632,7 +633,7 @@ class QuantConvOp(ConvOp):
 
         m, why = int8_tile(
             kernel=self.kernel, stride=self.stride, out_hw=out_hw,
-            c_in=self.c_in, use_gather=self.use_gather,
+            c_in=self.c_in,
         )
         self.wino_note = why
         return m
@@ -744,7 +745,8 @@ def _bits_of(qmax: int) -> int:
 # ---------------------------------------------------------------------
 @dataclass
 class QuantizationReport:
-    """What the quantization pass did to one compiled pipeline."""
+    """What the quantization pass did to one compiled pipeline: one row
+    per conv the pipeline runs, residual-branch convs included."""
 
     bits: int
     granularity: str
@@ -760,7 +762,8 @@ class QuantizationReport:
 
     @property
     def fallback_layers(self) -> int:
-        """How many convs stayed float (error threshold or policy)."""
+        """How many convs stayed float (error threshold, or inside a
+        residual branch the pass does not enter)."""
         return sum(1 for row in self.layers if not row["quantized"])
 
     def describe(self) -> str:
@@ -772,7 +775,9 @@ class QuantizationReport:
         ]
         for row in self.layers:
             status = "int8" if row["quantized"] else f"float ({row['reason']})"
-            lines.append(f"  {row['tag']}: {status}, w_err={row['error']:.4f}")
+            if row["error"] is not None:  # None: never assessed
+                status += f", w_err={row['error']:.4f}"
+            lines.append(f"  {row['tag']}: {status}")
         return "\n".join(lines)
 
 
@@ -801,7 +806,7 @@ def _calibrate_edges(
         if isinstance(op, ConvOp) and op.wino_m:
             # Calibrate on the column GEMM: the Winograd operand would be
             # built only to be dropped with the float conv it belongs to.
-            op = op.clone_with(wino_m=0, slab_bytes=op.slab_bytes)
+            op = op.clone_with(wino_m=0)
         cur = op.run(cur, state)
     edges.append(float(np.abs(cur).max()) if cur.size else 0.0)
     return edges
@@ -864,7 +869,6 @@ def _quantize_conv(
     column GEMM records why in ``wino_note``.
     """
     carry = _carry_dtype(dtype)
-    int8_dense = kernel is not None and not op.use_gather
     scales = quant.scales
     bias = op.epilogue.bias
     # The real bias divided by each column's fold-back scale.
@@ -874,23 +878,20 @@ def _quantize_conv(
     if op.encoded is not None:
         from ..core.spm import EncodedLayer
 
-        # Re-wrap the CODES as an EncodedLayer: the memoized gather plan
-        # and grouped matrices then serve the int8 path, and the dense
-        # float weight tensor is never materialised.
+        # Re-wrap the CODES as an EncodedLayer: the SPM artifact is the
+        # value codes, decoded transiently when an operand is built, so
+        # the dense float weight tensor is never materialised.
         encoded = EncodedLayer(
             codes=op.encoded.codes,
             values=quant.codes.astype(carry),
             codebook=op.encoded.codebook,
             shape=op.encoded.shape,
         )
-        if not op.use_gather:
-            codes_store = None  # SPM artifact is the value codes on `encoded`
+        codes_store = None
     weight_t = None
     bias_rows = 0
     bias_q = None
-    if op.use_gather:
-        bias_q = row  # added in code space by the epilogue
-    elif int8_dense:
+    if kernel is not None:
         # The blocked kernel builds its span blocks from the codes on
         # first use. The bias is rounded to integer accumulator codes
         # (the classic int32-bias of integer inference) so it can fold
@@ -913,26 +914,22 @@ def _quantize_conv(
     # The winograd pass's mark becomes an int8 auto marker: the int8
     # tile rule resolves it from the first execution plan.
     wino_m, note = 0, ""
-    if int8_dense:
+    if kernel is not None:
         from .winograd import int8_tile
 
         m, note = int8_tile(
-            kernel=op.kernel, stride=op.stride, out_hw=None,
-            c_in=op.c_in, use_gather=op.use_gather,
+            kernel=op.kernel, stride=op.stride, out_hw=None, c_in=op.c_in
         )
         if m and op.wino_m:
             wino_m = -1
         elif m:
-            note = "float schedule is the column GEMM (winograd=False or tuned)"
+            note = "float schedule is the column GEMM (winograd=False)"
     return QuantConvOp(
         wino_m=wino_m,
         wino_note=note,
         weight_t=weight_t,
         bias_rows=bias_rows,
         encoded=encoded,
-        use_gather=op.use_gather,
-        slab_bytes=op.slab_bytes,
-        schedule=op.schedule,
         epilogue=op.epilogue,
         relu=op.relu,
         stride=op.stride,
@@ -949,7 +946,7 @@ def _quantize_conv(
         qmax=config.qmax,
         codes_int8=codes_store,
         bias_q=bias_q,
-        int8_kernel=kernel if int8_dense else None,
+        int8_kernel=kernel,
         emit_int8=kernel is not None,
     )
 
@@ -971,7 +968,8 @@ def quantize_pipeline(
     average pools, residual blocks, module fallbacks, error-threshold
     fallbacks — gets :class:`QuantizeOp`/:class:`DequantizeOp`
     boundaries inserted around it. Returns the new op list and a
-    :class:`QuantizationReport`.
+    :class:`QuantizationReport` with a row for every conv, the convs
+    inside residual branches listed as float.
     """
     calibration = np.asarray(calibration)
     if calibration.ndim != 4 or calibration.shape[0] == 0:
@@ -1008,6 +1006,19 @@ def quantize_pipeline(
                     "reason": quant.reason,
                     "error": quant.error,
                 }
+            )
+        elif isinstance(op, ResidualOp):
+            # The walk below keeps a residual op float as a whole, so
+            # its branch convs are float layers too, named as such.
+            report.layers.extend(
+                {
+                    "tag": conv.tag,
+                    "quantized": False,
+                    "reason": "inside a residual branch",
+                    "error": None,
+                }
+                for conv in walk_ops([op])
+                if isinstance(conv, ConvOp)
             )
 
     def scale_at(i: int) -> float:

@@ -9,9 +9,9 @@ stack of dense GEMMs with ``(m+2)^2 / (9 m^2)`` of the direct MACs:
 2.25x fewer for F(2x2,3x3), 4x fewer for F(4x4,3x3).
 
 This module owns the 1-D transform matrices, their Kronecker-squared 2-D
-forms, and the eligibility/selection rules shared by the ``winograd``
-compiler pass, the tune pass, the cost model and the int8 tile rule
-(:func:`int8_tile`).  The execution loop itself is bound by
+forms, and the static eligibility/selection rules shared by the
+``winograd`` compiler pass, the executor's auto markers and the int8
+tile rule (:func:`int8_tile`).  The execution loop itself is bound by
 :meth:`repro.runtime.compile.ConvOp._bind_winograd`, the only Winograd
 executor, for float and int8 convs alike; its tests check it against
 the eager im2col conv (:func:`repro.runtime.dispatch`) and, on int8
@@ -145,19 +145,14 @@ def eligible_tiles(
     stride: int,
     out_hw: Tuple[int, int],
     c_in: int,
-    use_gather: bool = False,
 ) -> Tuple[int, ...]:
     """Tile sizes a conv layer may legally run under, best-first.
 
-    Legality only — profitability is the cost model's and the tune
-    pass's job.  Gather-scheduled convs keep their grouped GEMM (the SPM
-    pattern structure does not survive the Winograd domain), and a tile
+    Legality only — profitability is :func:`default_tile`'s job.  A tile
     is only offered when the output is large enough that at least one
     full tile exists.
     """
     if tuple(kernel) != (3, 3) or stride != 1:
-        return ()
-    if use_gather:
         return ()
     if c_in < 1 or min(out_hw) < 1:
         return ()
@@ -176,8 +171,7 @@ def default_tile(
     F(4x4,3x3) wins 1.5-2.4x whenever the map has room for a full 4x4
     tile, F(2x2,3x3) wins ~1.3x on 2x2 maps, and neither pays off when
     the contraction is too narrow for the transform overhead (the
-    c_in=3 stem layer).  ``tune="cost"`` / ``tune="measure"`` refine
-    this per layer; this rule is the no-tune default.
+    c_in=3 stem layer).
     """
     if not tiles or c_in < 16:
         return 0
@@ -222,17 +216,14 @@ def int8_tile(
     stride: int,
     out_hw: Optional[Tuple[int, int]],
     c_in: int,
-    use_gather: bool = False,
 ) -> Tuple[int, str]:
     """Static tile rule of an int8 conv: ``(2, "")`` for the exact
     F(2x2,3x3) schedule, or ``(0, reason)`` when the layer stays on the
     column GEMM. With ``out_hw=None`` only the geometry-free conditions
-    (kernel, stride, schedule, ``c_in``) are checked.
+    (kernel, stride, ``c_in``) are checked.
     """
     if tuple(kernel) != (3, 3) or stride != 1:
         return 0, "not a 3x3/stride-1 conv"
-    if use_gather:
-        return 0, "gather schedule"
     if c_in < INT8_MIN_C_IN:
         return 0, f"c_in {c_in} < {INT8_MIN_C_IN}"
     if out_hw is None:

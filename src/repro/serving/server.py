@@ -127,13 +127,6 @@ class ModelServer:
         :class:`~repro.runtime.QuantizationConfig`. Activation scales
         calibrate on a deterministic synthetic batch unless the loader
         is given a real ``calibration=`` batch. Requires ``compile``.
-    tune:
-        Compile every loaded model with per-layer schedule tuning
-        (``"cost"`` — analytic, zero measurement; ``"measure"`` — timed
-        schedules persisted in the
-        :class:`~repro.runtime.TuningCache`, so a server restart with a
-        warm cache applies the winners without re-measuring and
-        :meth:`warmup` stays fast). Requires ``compile``.
     max_queue:
         Admission-control high-water mark for every model's batcher:
         past this many queued requests, :meth:`submit` raises
@@ -170,7 +163,6 @@ class ModelServer:
         max_latency_ms: float = 2.0,
         compile: bool = True,
         quantize=None,
-        tune: Optional[str] = None,
         max_queue: Optional[int] = None,
         slo_ms: Optional[float] = None,
         memory_budget_mb: Optional[float] = None,
@@ -184,14 +176,11 @@ class ModelServer:
             raise ValueError("slo_ms must be > 0 (or None to disable)")
         if quantize is not None and not compile:
             raise ValueError("quantize= requires the compiled pipeline (compile=True)")
-        if tune is not None and not compile:
-            raise ValueError("tune= requires the compiled pipeline (compile=True)")
         self.workers = workers
         self.max_batch = max_batch
         self.max_latency_ms = max_latency_ms
         self.compile = compile
         self.quantize = quantize
-        self.tune = tune
         if memory_budget_mb is not None and memory_budget_mb <= 0:
             raise ValueError("memory_budget_mb must be > 0 (or None to disable)")
         self.max_queue = max_queue
@@ -251,7 +240,7 @@ class ModelServer:
         max_queue=_DEFAULT,
         slo_ms=_DEFAULT,
     ) -> ServedModel:
-        """Compile/quantize/tune and assemble a :class:`ServedModel`.
+        """Compile/quantize and assemble a :class:`ServedModel`.
 
         Deliberately runs *outside* the registry lock so a hot reload's
         compile+warm never stalls traffic on already-served models; the
@@ -269,7 +258,6 @@ class ModelServer:
                 model,
                 quantize=self.quantize,
                 calibration=calibration,
-                tune=self.tune,
                 input_shape=input_shape,
             )
         stats = ServerStats()
@@ -282,8 +270,8 @@ class ModelServer:
         served_meta = dict(meta or {})
         if compiled is not None:
             # Cache observability: plan-reuse regressions (a cold
-            # plan cache on every flush) and tuning-cache behaviour
-            # show up on GET /stats instead of only in profiles.
+            # plan cache on every flush) show up on GET /stats instead
+            # of only in profiles.
             plans = compiled.plans
             stats.attach_cache(
                 "plans",
@@ -296,21 +284,12 @@ class ModelServer:
                     "bytes": plans.object_nbytes,
                 },
             )
-            if self.tune is not None:
-                tuning_cache = runtime.get_tuning_cache()
-                stats.attach_cache("tuning", tuning_cache.stats.snapshot)
         if compiled is not None and compiled.quantization is not None:
             report = compiled.quantization
             served_meta.update(
                 quantized=f"int{report.bits}",
                 quantized_layers=report.quantized_layers,
                 fallback_layers=report.fallback_layers,
-            )
-        if compiled is not None and compiled.tuning is not None:
-            served_meta.update(
-                tuned=compiled.tuning.mode,
-                tuned_layers=compiled.tuning.tuned_layers,
-                tuned_changed=compiled.tuning.changed_layers,
             )
         return ServedModel(
             name=name,

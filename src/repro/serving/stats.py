@@ -69,11 +69,10 @@ class ServerStats:
         """Expose a cache's hit/miss counters on this model's snapshot.
 
         ``snapshot`` is a zero-arg callable returning a JSON-ready dict
-        (e.g. a :class:`~repro.runtime.PlanCacheStats` or
-        :class:`~repro.runtime.TuningCacheStats` view). The server
-        attaches the compiled model's plan cache and the tuning cache at
-        load time, so ``GET /stats`` makes plan-reuse regressions
-        observable without code changes.
+        (e.g. a :class:`~repro.runtime.PlanCacheStats` view). The
+        server attaches the compiled model's plan cache at load time, so
+        ``GET /stats`` makes plan-reuse regressions observable without
+        code changes.
         """
         with self._lock:
             self._caches[name] = snapshot

@@ -46,3 +46,26 @@ class TestInferenceCost:
         assert fast.latency_ms == pytest.approx(base.latency_ms / 2)
         # Energy/image unchanged to first order (P ~ f at fixed V).
         assert fast.energy_mj == pytest.approx(base.energy_mj)
+
+
+class TestPerLayerCost:
+    def test_layer_costs_sum_to_network_cost(self, vgg_profile):
+        from repro.arch import inference_cost_by_layer
+
+        config = PCNNConfig.uniform(2, 13)
+        whole = inference_cost(vgg_profile, config)
+        layers = inference_cost_by_layer(vgg_profile, config)
+        assert len(layers) == 13
+        total_ms = sum(c.latency_ms for c in layers.values())
+        np.testing.assert_allclose(total_ms, whole.latency_ms, rtol=1e-9)
+
+    def test_conv_layer_cost_roofline(self):
+        from repro.arch import conv_layer_cost
+
+        small = conv_layer_cost(out_hw=(4, 4), c_in=8, c_out=8, kernel_size=3)
+        assert small.cycles == max(small.compute_cycles, small.memory_cycles)
+        wide = conv_layer_cost(
+            out_hw=(4, 4), c_in=8, c_out=8, kernel_size=3, contraction_width=8 * 18
+        )
+        assert wide.macs == 2 * small.macs  # double-width contraction
+        assert wide.latency_ms >= small.latency_ms

@@ -23,7 +23,7 @@ from repro.core import (
 from repro.nn import Tensor
 from repro.nn.functional import conv2d
 from repro.runtime import dispatch, engine
-from repro.runtime.tune import GROUPED_EXPANSION_LIMIT, gather_width_ratio
+from repro.runtime.engine import GROUPED_EXPANSION_LIMIT, gather_width_ratio
 
 from tests.conftest import reference_conv2d
 

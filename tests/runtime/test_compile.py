@@ -69,9 +69,10 @@ class TestCompiledEquivalence:
         compiled(x2)  # overwrite every arena buffer with other data
         np.testing.assert_array_equal(compiled(x1), first)
 
-    def test_spm_gather_path_when_narrower_than_dense(self):
+    def test_spm_narrow_codebook_lowers_to_decoded_dense(self):
         """n=1/|P|=4 keeps the grouped contraction narrower than the
-        dense one, so compiled convs serve straight from SPM storage."""
+        dense one, yet compiled convs still decode: on a CPU the gather
+        saves nothing, so every SPM conv takes the static dense rule."""
         model = patternnet(
             channels=(8, 16), num_classes=4, rng=np.random.default_rng(21)
         )
@@ -81,20 +82,22 @@ class TestCompiledEquivalence:
         x = np.random.default_rng(22).normal(size=(2, 3, 12, 12))
         reference = runtime.predict(model, x)
         compiled = runtime.compile_model(model)
-        spm_ops = [op for op in compiled.ops if getattr(op, "encoded", None) is not None]
-        assert spm_ops and all(op.use_gather for op in spm_ops)
         np.testing.assert_allclose(compiled(x), reference, rtol=1e-4, atol=1e-5)
+        spm_ops = [op for op in compiled.ops if getattr(op, "encoded", None) is not None]
+        assert spm_ops and all(op.schedule_kind() == "im2col" for op in spm_ops)
+        # The decoded column operand is the only derived state it keeps.
+        assert all(op.derived_nbytes() == op.weight_t.nbytes for op in spm_ops)
 
     def test_spm_wide_codebook_lowers_to_decoded_dense(self):
-        """n=2/|P|=8 gathers 16 columns/channel vs 9 dense — the compiled
-        pipeline decodes at compile time and runs the dense GEMM."""
+        """n=2/|P|=8 would gather 16 columns/channel vs 9 dense — the
+        compiled pipeline decodes and runs the dense GEMM."""
         model = _pruned(
             patternnet(channels=(8, 16), num_classes=4, rng=np.random.default_rng(23)),
             2,
         )
         compiled = runtime.compile_model(model)
         spm_ops = [op for op in compiled.ops if getattr(op, "encoded", None) is not None]
-        assert spm_ops and not any(op.use_gather for op in spm_ops)
+        assert spm_ops and all(op.schedule_kind() == "im2col" for op in spm_ops)
 
     def test_features_only_model_keeps_nchw_layout(self):
         from repro.models.vgg import VGG16

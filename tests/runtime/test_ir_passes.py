@@ -120,12 +120,6 @@ class TestPassOrdering:
         with pytest.raises(ValueError, match="link_halos"):
             PassManager(["lower", "link_halos", "fuse_epilogues", "finalize"])
 
-    def test_tune_after_quantize_rejected(self):
-        with pytest.raises(ValueError, match="pass ordering violation"):
-            PassManager(
-                ["lower", "fold_bn", "fuse_epilogues", "quantize", "tune", "finalize"]
-            )
-
     def test_lower_must_run_first(self):
         with pytest.raises(ValueError, match="pass ordering violation"):
             PassManager(["fold_bn", "lower", "finalize"])
@@ -150,14 +144,13 @@ class TestPassOrdering:
     def test_default_pipeline_is_valid_and_ordered(self):
         from repro.runtime.passes import default_passes
 
-        ctx = CompileContext(model=None, tune="cost", quantize=object())
+        ctx = CompileContext(model=None, quantize=object())
         names = [p.name for p in default_passes(ctx)]
         assert names == [
             "lower",
             "fold_bn",
             "fuse_epilogues",
             "winograd",
-            "tune",
             "quantize",
             "link_halos",
             "assign_arenas",

@@ -16,9 +16,8 @@ handful of fixtures:
   and int8 logits do not depend on which int8 convs run it;
 - a compiled forward's first call (bind) and its replays are
   bit-identical and match eager within the per-domain tolerance, for
-  every op and schedule;
-- measured tuning never persists a schedule that did not beat the
-  static default by the noise margin.
+  every op and schedule, SPM convs included (they decode their
+  encoding and run the same static schedules as dense convs).
 """
 
 import numpy as np
@@ -282,7 +281,7 @@ class TestInt8Winograd:
         from repro.models import resnet18_cifar, vgg16_cifar
 
         build = {"vgg16": vgg16_cifar, "resnet18": resnet18_cifar}.get(name)
-        if build is None:  # |P| = 8: decoded dense GEMMs, not gathers
+        if build is None:  # SPM codes, decoded into the dense operands
             model = _pruned_patternnet(patterns=8)
         else:
             model = build(rng=np.random.default_rng(5))
@@ -346,34 +345,40 @@ class TestBoundExecutor:
 
     @pytest.mark.parametrize("quantize", [None, "int8"], ids=["f32", "int8"])
     def test_gather_patternnet_across_shapes(self, quantize):
-        """The serving model (n=2, |P|=4): every conv runs the gather."""
+        """The serving model (n=2, |P|=4, the geometry the paper's SPM
+        gather serves): every conv decodes its encoding and runs the
+        static schedule a dense conv of its shape would."""
         model = _pruned_patternnet()
         rng = np.random.default_rng(8)
         calib = rng.normal(size=(4, 3, 16, 16))
         compiled = runtime.compile_model(model, quantize=quantize, calibration=calib)
-        assert [row["kind"].split("+")[0] for row in compiled.schedule_summary()] == [
-            "gather"
-        ] * 3
         for batch in (1, 3, 1, 2):  # shape changes mid-stream re-bind
             self._check(compiled, model, rng.normal(size=(batch, 3, 16, 16)), 1e-5)
         assert len(compiled._state().traces) == 3
+        convs = [op for op in compiled.iter_ops() if isinstance(op, ConvOp)]
+        assert len(convs) == 3 and all(op.encoded is not None for op in convs)
+        # int8: every conv is narrower than the int8 Winograd rule's c_in.
+        expected = ["im2col"] * 3 if quantize else ["im2col", "winograd4", "winograd4"]
+        assert [row["kind"].split("+")[0] for row in compiled.schedule_summary()] == expected
 
     @pytest.mark.parametrize("pruned", [False, True], ids=["dense", "gather"])
     @pytest.mark.parametrize("slab_bytes", [4096, 12000, 1 << 17])
     def test_small_slab_bytes_forces_bands(self, pruned, slab_bytes):
-        """A small workspace budget splits the column GEMM into bands of
-        output rows (one image outgrows it) or of whole images, with
-        ragged last bands."""
+        """A small per-op workspace budget (``band_bytes``) splits the
+        column GEMM into bands of output rows (one image outgrows it) or
+        of whole images, with ragged last bands — SPM convs (``gather``:
+        the n=2, |P|=4 model) decoded like dense ones."""
         model = _pruned_patternnet() if pruned else patternnet(
             rng=np.random.default_rng(7)
         )
         # float64, every conv on the column GEMM
         compiled = runtime.compile_model(model, dtype=None, winograd=False)
-        convs = [op for op in compiled.ops if hasattr(op, "slab_bytes")]
+        convs = [op for op in compiled.ops if isinstance(op, ConvOp)]
+        assert len(convs) == 3
+        assert all((op.encoded is not None) == pruned for op in convs)
         for op in convs:
-            op.slab_bytes = slab_bytes
-        assert all(row["kind"] == ("gather" if pruned else "slab")
-                   for row in compiled.schedule_summary())
+            op.band_bytes = slab_bytes
+        assert all(row["kind"] == "im2col" for row in compiled.schedule_summary())
         rng = np.random.default_rng(9)
         for batch in (1, 3):
             self._check(compiled, model, rng.normal(size=(batch, 3, 16, 16)), 1e-9)
@@ -415,7 +420,7 @@ class TestBoundExecutor:
     @pytest.mark.parametrize("pruned", [False, True], ids=["dense", "gather"])
     def test_int8_float_carried_bands(self, pruned):
         """kernel="float" carries codes in float arrays through the same
-        band and gather schedules."""
+        band schedules, SPM convs (``gather``: n=2, |P|=4) decoded."""
         from repro.runtime.quant import QuantizationConfig
 
         model = _pruned_patternnet() if pruned else patternnet(
@@ -427,9 +432,10 @@ class TestBoundExecutor:
         )
         qconvs = [op for op in compiled.ops if type(op).__name__ == "QuantConvOp"]
         assert len(qconvs) == 3 and not any(op.int8_kernel for op in qconvs)
-        assert all(op.use_gather == pruned for op in qconvs)
+        assert all((op.encoded is not None) == pruned for op in qconvs)
+        assert all(op.schedule_kind() == "im2col+int8:float" for op in qconvs)
         for op in qconvs:
-            op.slab_bytes = 4096
+            op.band_bytes = 4096
         self._check(compiled, model, x)
 
     def test_schedule_summary_names_kernel_schedules(self):
@@ -444,41 +450,3 @@ class TestBoundExecutor:
         # the kind string ("+int8:<kernel>", "float" when float-carried);
         # dense-GEMM quant layers additionally expose row["int8_kernel"].
         assert qrows and all("int8:" in row["kind"] for row in qrows)
-
-
-class TestNeverPersistSlower:
-    """Measured tuning must not cache a schedule that only won on noise."""
-
-    def test_equal_measurements_keep_the_default(self, tmp_path, monkeypatch):
-        """When every candidate measures identically, no alternative
-        beats the default by the margin, so the default persists."""
-        from repro.runtime import tune as tune_mod
-        from repro.runtime.tune import TuningCache
-
-        monkeypatch.setattr(
-            tune_mod, "_measure_layer_ips", lambda *a, **kw: 100.0
-        )
-        model = patternnet(
-            channels=(8, 16), num_classes=4, rng=np.random.default_rng(12)
-        )
-        pruner = PCNNPruner(model, PCNNConfig.uniform(1, 2, num_patterns=4))
-        pruner.apply()
-        pruner.attach_encodings()
-        static = runtime.compile_model(model, winograd=False)
-        heuristic = {
-            op.tag: ("gather" if op.use_gather else "dense")
-            for op in static.ops
-            if isinstance(op, ConvOp)
-        }
-        cache = TuningCache(path=str(tmp_path / "tune.json"))
-        tuned = runtime.compile_model(
-            model,
-            tune="measure",
-            input_shape=(3, 16, 16),
-            tuning_cache=cache,
-            winograd=False,
-        )
-        for op in tuned.ops:
-            if isinstance(op, ConvOp):
-                assert op.schedule.mode == heuristic[op.tag], op.tag
-        assert len(cache) > 0  # the defaults were persisted, not skipped

@@ -26,8 +26,10 @@ def _images(n, seed=0, shape=SHAPE):
 
 
 def _pruned_patternnet(n=2, num_patterns=8):
-    """PatternNet (16, 32, 64): the two wider convs run Winograd at
-    n=2/|P|=8, every conv gathers from SPM storage at n=1/|P|=4."""
+    """PatternNet (16, 32, 64), its convs lowered from SPM encodings:
+    the two wider convs run Winograd. ``f32-gather`` below prunes to
+    n=1/|P|=4, the narrow codebook the paper's SPM gather serves; it
+    decodes like any other encoding."""
     model = patternnet(rng=np.random.default_rng(0))
     pruner = PCNNPruner(model, PCNNConfig.uniform(n, 3, num_patterns=num_patterns))
     pruner.apply()
@@ -45,9 +47,9 @@ def _int8_banded(model):
     compiled = _int8(model)
     convs = [op for op in compiled.iter_ops() if isinstance(op, QuantConvOp)]
     assert all(op.int8_kernel == "blocked" for op in convs)
-    convs[0].slab_bytes = 1  # one output row per band
+    convs[0].band_bytes = 1  # one output row per band
     image_bytes = 8 * 8 * (9 * 16 + 1) * 4  # conv1: 8x8 outputs, K = 144 + bias
-    convs[1].slab_bytes = 2 * image_bytes  # two images per band
+    convs[1].band_bytes = 2 * image_bytes  # two images per band
     return compiled
 
 
@@ -59,7 +61,7 @@ def _int8_winograd(model):
     convs = [op for op in compiled.iter_ops() if isinstance(op, QuantConvOp)]
     for op in convs[1:]:
         op.wino_m = 2
-    convs[2].slab_bytes = 1  # one image per band
+    convs[2].band_bytes = 1  # one image per band
     return compiled
 
 
@@ -100,7 +102,6 @@ class TestOneCopy:
         for op in convs:
             assert op.weight is None  # the encoding is the only source copy
             assert op.encoded.cached_nbytes == 0  # decodes are transient
-            assert op._grouped_t is None
             if op.wino_m:
                 assert op.weight_t is None
                 operand = op._wino_u

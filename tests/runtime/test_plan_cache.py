@@ -148,7 +148,7 @@ class TestEncodedLayerCaches:
         from repro import runtime
         from repro.core import PCNNConfig, PCNNPruner
         from repro.models import patternnet
-        from repro.runtime.tune import GROUPED_EXPANSION_LIMIT, gather_width_ratio
+        from repro.runtime.engine import GROUPED_EXPANSION_LIMIT, gather_width_ratio
 
         model = patternnet(rng=np.random.default_rng(10))
         pruner = PCNNPruner(model, PCNNConfig.uniform(2, 3))

@@ -351,7 +351,7 @@ class TestLanes:
         import subprocess
         import sys
 
-        from repro.runtime.tune import TUNE_CPUS_ENV
+        from repro.runtime.predict import CPUS_ENV
 
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no CPU affinity control on this platform")
@@ -375,7 +375,7 @@ class TestLanes:
         )
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        env.pop(TUNE_CPUS_ENV, None)  # count the affinity mask
+        env.pop(CPUS_ENV, None)  # count the affinity mask
         done = subprocess.run(
             [sys.executable, str(script)], env=env, capture_output=True,
             text=True, timeout=120,
@@ -482,3 +482,17 @@ class TestBlasPin:
         assert not any(thread.is_alive() for thread in threads)
         assert inside == [1] * 400
         assert runtime.blas.get_threads() == 2
+
+
+class TestEffectiveCpuCount:
+    """The CPU count that sizes predict's automatic lanes."""
+
+    def test_env_override_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TUNE_CPUS", "3")
+        assert runtime.effective_cpu_count() == 3
+
+    def test_invalid_override_falls_back_to_affinity(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TUNE_CPUS", "zero")
+        assert runtime.effective_cpu_count() >= 1
+        monkeypatch.setenv("REPRO_TUNE_CPUS", "-2")
+        assert runtime.effective_cpu_count() >= 1

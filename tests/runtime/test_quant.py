@@ -279,3 +279,34 @@ class TestCompiledQuantizedPipeline:
         rel = np.linalg.norm(out - reference) / np.linalg.norm(reference)
         assert rel < 0.08
         assert (out.argmax(axis=1) == reference.argmax(axis=1)).mean() >= 0.99
+
+
+class TestReportCoversEveryConv:
+    """Every conv the pipeline runs has a report row: quantized, or float
+    with its reason, so describe() shows no silent float layer."""
+
+    @pytest.mark.parametrize(
+        "name, shape, convs, floats",
+        [
+            ("vgg16_cifar", (3, 32, 32), 13, 0),
+            ("resnet18_cifar", (3, 32, 32), 20, 19),
+            ("patternnet", (3, 16, 16), 3, 0),
+        ],
+        ids=["vgg16", "resnet18", "patternnet"],
+    )
+    def test_layer_and_float_counts(self, name, shape, convs, floats):
+        from repro.models import create_model
+        from repro.runtime.compile import ConvOp
+
+        model = create_model(name, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(2, *shape))
+        compiled = runtime.compile_model(model, quantize="int8", calibration=x)
+        report = compiled.quantization
+        tags = [op.tag for op in compiled.iter_ops() if isinstance(op, ConvOp)]
+        assert [row["tag"] for row in report.layers] == tags
+        assert len(tags) == convs
+        assert report.fallback_layers == floats
+        assert report.quantized_layers == convs - floats
+        branch = [row for row in report.layers if row["reason"] == "inside a residual branch"]
+        assert len(branch) == floats
+        assert f"{convs - floats} quantized / {floats} float" in compiled.describe()

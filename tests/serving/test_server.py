@@ -24,6 +24,20 @@ def pruned_bundle_path(tmp_path, n=2, num_patterns=4, seed=0):
     return path
 
 
+def assert_decoded_spm(compiled):
+    """Every conv lowers from its SPM encoding and runs a static decoded
+    schedule: im2col for the 3-channel stem, F(4x4) Winograd after it.
+    After a forward each holds only the operand that schedule multiplies
+    by — no grouped pattern operand, no memoized decode."""
+    compiled(np.zeros((2, 3, 16, 16)))
+    convs = [op for op in compiled.ops if isinstance(op, ConvOp)]
+    assert convs and all(op.encoded is not None for op in convs)
+    assert [op.schedule_kind() for op in convs] == ["im2col", "winograd4", "winograd4"]
+    for op in convs:
+        operand = op._wino_u if op.wino_m else op.weight_t
+        assert op.derived_nbytes() == operand.nbytes
+
+
 class TestModelServerLoading:
     def test_load_registry_dense(self):
         server = ModelServer(max_batch=4, max_latency_ms=1.0)
@@ -46,11 +60,8 @@ class TestModelServerLoading:
         served = server.load_bundle(path, "patternnet")
         convs = [m for m in served.model.modules() if isinstance(m, nn.Conv2d)]
         assert convs and all(conv.encoded is not None for conv in convs)
-        # The compiled pipeline lowered them from their encodings
-        # (n=2 x |P|=4 = 8 <= 9 -> native SPM gather).
-        conv_ops = [op for op in served.compiled.ops if isinstance(op, ConvOp)]
-        assert conv_ops and all(op.encoded is not None for op in conv_ops)
-        assert all(op.use_gather for op in conv_ops)
+        # The compiled pipeline lowered them from their encodings.
+        assert_decoded_spm(served.compiled)
         assert served.meta["layers"] == 3
 
     def test_duplicate_name_rejected(self):
@@ -136,10 +147,7 @@ class TestEndToEndAcceptance:
         # compiled pipeline both read the SPM encodings restore attached.
         convs = [m for m in served.model.modules() if isinstance(m, nn.Conv2d)]
         assert all(conv.encoded is not None for conv in convs)
-        conv_ops = [op for op in served.compiled.ops if isinstance(op, ConvOp)]
-        assert conv_ops and all(
-            op.encoded is not None and op.use_gather for op in conv_ops
-        )
+        assert_decoded_spm(served.compiled)
 
         server.warmup()
         rng = np.random.default_rng(12)
@@ -161,6 +169,21 @@ class TestEndToEndAcceptance:
         assert sum(stats.batch_histogram.values()) < 64
         percentiles = stats.latency_percentiles()
         assert percentiles["p50_ms"] <= percentiles["p99_ms"]
+
+
+class TestServedBatchInvariance:
+    def test_rows_match_reference_at_every_batch_size(self):
+        """The served PatternNet (n=2, |P|=4), built and compiled by
+        load_registry: row i of a batch of any size the batcher can form
+        (1..16) is within the stream benchmark's 1e-5 of the same image
+        in a reference predict() over all 16 images at once."""
+        server = ModelServer(max_batch=16, max_latency_ms=1.0)
+        served = server.load_registry("patternnet", n=2, patterns=4)
+        x = np.random.default_rng(31).normal(size=(16, 3, 16, 16)).astype(np.float32)
+        reference = runtime.predict(served.compiled, x, micro_batch=256)
+        for batch in range(1, 17):
+            out = runtime.predict(served.compiled, x[:batch])
+            assert float(np.abs(out - reference[:batch]).max()) <= 1e-5, batch
 
 
 class TestQuantizedServing:
@@ -226,7 +249,7 @@ class TestQuantizedServing:
 
 
 class TestCacheObservability:
-    """PlanCache / TuningCache stats ride the /stats payload."""
+    """PlanCache stats ride the /stats payload."""
 
     def test_plan_cache_stats_in_snapshot(self):
         server = ModelServer(max_batch=4, max_latency_ms=1.0)
@@ -243,20 +266,6 @@ class TestCacheObservability:
         assert caches["plans"]["misses"] == first["misses"]
         assert 0.0 <= caches["plans"]["hit_rate"] <= 1.0
         assert server.stats()["patternnet"]["caches"]["plans"] == caches["plans"]
-
-    def test_tuning_cache_stats_when_tuned(self):
-        server = ModelServer(max_batch=4, max_latency_ms=1.0, tune="cost")
-        served = server.load_registry("patternnet", n=1, patterns=4)
-        assert served.meta["tuned"] == "cost"
-        assert served.meta["tuned_layers"] == 3
-        snap = served.stats.snapshot()
-        assert set(snap["caches"]) == {"plans", "tuning"}
-        for key in ("hits", "misses", "stores", "hit_rate"):
-            assert key in snap["caches"]["tuning"]
-
-    def test_tune_requires_compile(self):
-        with pytest.raises(ValueError, match="tune="):
-            ModelServer(compile=False, tune="cost")
 
     def test_eager_server_has_no_cache_section(self):
         server = ModelServer(max_batch=4, max_latency_ms=1.0, compile=False)
